@@ -160,10 +160,9 @@ struct LocalityResult {
 
 /// Factors the same matrix under the topology-blind work-stealing
 /// baseline and the distance-aware numa-hierarchical engine, so the
-/// committed JSON carries a steals-by-class comparison.  The baseline
-/// does not classify its steals (by_class stays zero) — the comparison
-/// is "how much of the numa engine's stolen work stayed cache-near",
-/// with the baseline's total steal volume as the reference.
+/// committed JSON carries a steals-by-class comparison.  Both engines
+/// classify their steals, so the comparison is how much more of the numa
+/// engine's stolen work stayed cache-near.
 std::vector<LocalityResult> steal_locality_sweep(int threads) {
   std::vector<LocalityResult> out;
   for (const char* name : {"work-stealing", "numa-hierarchical"}) {

@@ -67,14 +67,14 @@ struct Timing {
 /// data) and excluded from the timing, matching a library whose matrices
 /// already live in the target layout.
 inline Timing time_calu(const layout::Matrix& a0, core::Options opt,
-                        sched::ThreadTeam& team, int nreps = reps()) {
-  opt.threads = team.size();
+                        sched::Session& session, int nreps = reps()) {
+  opt.threads = session.threads();
   std::vector<Timing> runs;
   sched::EngineStats total;
   for (int r = 0; r < nreps; ++r) {
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, opt.layout, opt.b, opt.resolved_grid());
-    core::Factorization f = core::getrf(p, opt, &team);
+    core::Factorization f = core::getrf(p, opt, session);
     total.merge(f.stats.engine);
     runs.push_back({f.stats.factor_seconds, f.stats.gflops, f.stats, {}});
   }
@@ -87,12 +87,12 @@ inline Timing time_calu(const layout::Matrix& a0, core::Options opt,
 }
 
 inline Timing time_getrf_pp(const layout::Matrix& a0, int b,
-                            sched::ThreadTeam& team, int nreps = reps()) {
+                            sched::Session& session, int nreps = reps()) {
   std::vector<Timing> runs;
   sched::EngineStats total;
   for (int r = 0; r < nreps; ++r) {
     layout::Matrix a = a0;
-    core::Factorization f = core::getrf_pp(a, b, team);
+    core::Factorization f = core::getrf_pp(a, b, session.team());
     total.merge(f.stats.engine);
     runs.push_back({f.stats.factor_seconds, f.stats.gflops, f.stats, {}});
   }
@@ -105,14 +105,14 @@ inline Timing time_getrf_pp(const layout::Matrix& a0, int b,
 }
 
 inline Timing time_incpiv(const layout::Matrix& a0, int b,
-                          sched::ThreadTeam& team, int nreps = reps()) {
+                          sched::Session& session, int nreps = reps()) {
   std::vector<Timing> runs;
   sched::EngineStats total;
   for (int r = 0; r < nreps; ++r) {
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, layout::Layout::TwoLevelBlock, b,
-        layout::Grid::best(team.size()));
-    core::IncpivFactor f = core::getrf_incpiv(p, team);
+        layout::Grid::best(session.threads()));
+    core::IncpivFactor f = core::getrf_incpiv(p, core::Options{}, session);
     total.merge(f.stats.engine);
     runs.push_back({f.stats.factor_seconds, f.stats.gflops, f.stats, {}});
   }

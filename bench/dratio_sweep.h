@@ -7,7 +7,7 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps the schedule→engine mapping; any registry name
+/// `engine` "" keeps the hybrid default; any registry name
 /// (e.g. "priority-lookahead") reruns the identical sweep under that
 /// executor so the paper's d-ratio curves can be compared across all
 /// engines.
@@ -22,7 +22,7 @@ inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
   if (!engine.empty()) std::printf("# engine=%s (all rows)\n", engine.c_str());
   std::printf("%-8s %-10s %-12s %-10s %-12s\n", "n", "schedule", "dynamic%",
               "Gflop/s", "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   const double dratios[] = {0.0, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0};
   for (int n : ns) {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
@@ -35,7 +35,7 @@ inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
       opt.schedule = d == 0.0   ? core::Schedule::Static
                      : d == 1.0 ? core::Schedule::Dynamic
                                 : core::Schedule::Hybrid;
-      Timing t = time_calu(a0, opt, team);
+      Timing t = time_calu(a0, opt, session);
       const char* name = d == 0.0   ? "static"
                          : d == 1.0 ? "dynamic"
                                     : "hybrid";

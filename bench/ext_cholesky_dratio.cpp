@@ -15,7 +15,7 @@ int main() {
   const int threads = numa_threads();
   std::printf("%-8s %-10s %-10s %-12s %-10s %-12s\n", "n", "layout",
               "schedule", "dynamic%", "Gflop/s", "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   for (int n : sizes({2048, 4096}, {5000, 10000})) {
     layout::Matrix a0 = core::spd_matrix(n, 42);
     for (layout::Layout lay :
@@ -34,7 +34,7 @@ int main() {
         for (int r = 0; r < reps(); ++r) {
           layout::PackedMatrix p = layout::PackedMatrix::pack(
               a0, lay, opt.b, opt.resolved_grid());
-          core::Factorization f = core::potrf(p, opt, &team);
+          core::Factorization f = core::potrf(p, opt, session);
           if (f.stats.factor_seconds < best) {
             best = f.stats.factor_seconds;
             gf = f.stats.gflops;

@@ -23,7 +23,7 @@ int main() {
               "rel-stddev%");
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   noise::NoiseSpec spec;
   spec.prob = 0.3;
   spec.mean_us = 400.0;
@@ -46,7 +46,7 @@ int main() {
         opt.noise.seed = 42 + r;
         layout::PackedMatrix p = layout::PackedMatrix::pack(
             a0, opt.layout, opt.b, opt.resolved_grid());
-        const double s = core::getrf(p, opt, &team).stats.factor_seconds;
+        const double s = core::getrf(p, opt, session).stats.factor_seconds;
         sum += s;
         sum2 += s * s;
       }

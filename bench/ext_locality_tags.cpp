@@ -15,7 +15,7 @@ int main() {
   const int threads = numa_threads();
   std::printf("%-8s %-10s %-22s %-10s %-12s\n", "n", "layout", "variant",
               "Gflop/s", "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   for (int n : sizes({2048, 4096}, {5000, 10000})) {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
     for (layout::Layout lay :
@@ -29,8 +29,8 @@ int main() {
           opt.layout = lay;
           opt.schedule = sched;
           opt.dratio = d;
-          opt.locality_tags = tags;
-          Timing t = time_calu(a0, opt, team);
+          opt.engine = tags ? "locality-tags" : "hybrid";
+          Timing t = time_calu(a0, opt, session);
           std::printf("%-8d %-10s %-12s%-10s %-10.2f %-12.4f\n", n,
                       layout::layout_name(lay), base,
                       tags ? "+tags" : "", t.gflops, t.seconds);

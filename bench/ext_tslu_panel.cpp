@@ -14,7 +14,7 @@ int main() {
                "tournament pivoting parallelizes the panel; the advantage "
                "grows with m/n (panel fraction of total work)");
   const int threads = intel_threads();
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   std::printf("# threads=%d\n", threads);
   std::printf("%-10s %-8s %-26s %-10s %-12s\n", "m", "n", "routine",
               "Gflop/s", "seconds");
@@ -27,10 +27,10 @@ int main() {
     opt.threads = threads;
     opt.layout = layout::Layout::BlockCyclic;
     opt.dratio = 0.10;
-    Timing t = time_calu(a0, opt, team);
+    Timing t = time_calu(a0, opt, session);
     std::printf("%-10d %-8d %-26s %-10.2f %-12.4f\n", m, n,
                 "CALU hybrid10", t.gflops, t.seconds);
-    t = time_getrf_pp(a0, 128, team);
+    t = time_getrf_pp(a0, 128, session);
     std::printf("%-10d %-8d %-26s %-10.2f %-12.4f\n", m, n,
                 "getrf_pp (seq. panel)", t.gflops, t.seconds);
     std::fflush(stdout);

@@ -19,20 +19,20 @@ inline void improvement_sweep(const char* fig, layout::Layout lay,
               "vs-static%", "vs-dynamic%", "packs/step");
   const int all = numa_threads();
   for (int threads : {std::max(1, all / 2), all}) {
-    sched::ThreadTeam team(threads, true);
+    sched::Session session(sched::SessionOptions{threads, true});
     for (int n : ns) {
       layout::Matrix a0 = layout::Matrix::random(n, n, 42);
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = lay;
       opt.schedule = core::Schedule::Static;
-      const Timing ts = time_calu(a0, opt, team);
+      const Timing ts = time_calu(a0, opt, session);
       opt.schedule = core::Schedule::Dynamic;
-      const Timing td = time_calu(a0, opt, team);
+      const Timing td = time_calu(a0, opt, session);
       for (double d : {0.10, 0.20}) {
         opt.schedule = core::Schedule::Hybrid;
         opt.dratio = d;
-        const Timing th = time_calu(a0, opt, team);
+        const Timing th = time_calu(a0, opt, session);
         std::printf("%-8d %-8d %-9.0f %-13.1f %-13.1f %-10.1f\n", threads, n,
                     d * 100, (ts.seconds / th.seconds - 1.0) * 100.0,
                     (td.seconds / th.seconds - 1.0) * 100.0,

@@ -20,7 +20,7 @@ inline void libs_sweep(const char* fig, int threads,
     std::printf("# engine=%s (CALU rows)\n", engine.c_str());
   std::printf("%-8s %-26s %-10s %-12s\n", "n", "routine", "Gflop/s",
               "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   for (int n : ns) {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
     const int b = default_b(n);
@@ -31,20 +31,20 @@ inline void libs_sweep(const char* fig, int threads,
     opt.dratio = 0.10;
     opt.engine = engine;
     opt.layout = layout::Layout::BlockCyclic;
-    Timing t = time_calu(a0, opt, team);
+    Timing t = time_calu(a0, opt, session);
     std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, "CALU hybrid10 (BCL)",
                 t.gflops, t.seconds);
 
     opt.layout = layout::Layout::TwoLevelBlock;
-    t = time_calu(a0, opt, team);
+    t = time_calu(a0, opt, session);
     std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, "CALU hybrid10 (2l-BL)",
                 t.gflops, t.seconds);
 
-    t = time_getrf_pp(a0, b, team);
+    t = time_getrf_pp(a0, b, session);
     std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, "getrf_pp (MKL sub)",
                 t.gflops, t.seconds);
 
-    t = time_incpiv(a0, b, team);
+    t = time_incpiv(a0, b, session);
     std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, "incpiv (PLASMA sub)",
                 t.gflops, t.seconds);
     std::fflush(stdout);

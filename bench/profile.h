@@ -19,7 +19,7 @@ inline void profile_run(const char* fig, core::Schedule sched, double dratio,
               layout::layout_name(lay));
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   trace::Recorder rec;
   core::Options opt;
   opt.b = b;
@@ -28,10 +28,10 @@ inline void profile_run(const char* fig, core::Schedule sched, double dratio,
   opt.layout = lay;
   opt.threads = threads;
   opt.recorder = &rec;
-  opt.engine = engine;  // "" keeps the schedule→engine mapping
+  opt.engine = engine;  // "" keeps the hybrid default
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a0, lay, b, opt.resolved_grid());
-  core::Factorization f = core::getrf(p, opt, &team);
+  core::Factorization f = core::getrf(p, opt, session);
 
   const trace::TimelineStats st = trace::analyze(rec);
   // Idle fraction and the static/dynamic split are inside summarize().

@@ -7,8 +7,8 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps each variant's schedule→engine mapping; any registry
-/// name (e.g. "numa-hierarchical") reruns every row under that executor.
+/// `engine` "" keeps the hybrid default; any registry name (e.g.
+/// "numa-hierarchical") reruns every row under that executor.
 inline void summary_sweep(const char* fig, int threads,
                           const std::vector<int>& ns,
                           const char* paper_shape,
@@ -18,7 +18,7 @@ inline void summary_sweep(const char* fig, int threads,
   if (!engine.empty()) std::printf("# engine=%s (all rows)\n", engine.c_str());
   std::printf("%-8s %-26s %-10s %-12s\n", "n", "variant", "Gflop/s",
               "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
 
   struct Variant {
     const char* name;
@@ -49,7 +49,7 @@ inline void summary_sweep(const char* fig, int threads,
       opt.schedule = v.sched;
       opt.dratio = v.dratio;
       opt.engine = engine;
-      Timing t = time_calu(a0, opt, team);
+      Timing t = time_calu(a0, opt, session);
       std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, v.name, t.gflops,
                   t.seconds);
     }

@@ -15,19 +15,20 @@ int main() {
   std::printf("# n=%d b=%d threads=%d; cells in Gflop/s\n", n, default_b(n),
               threads);
 
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
 
   struct Cell {
     core::Schedule sched;
     double dratio;
     const char* name;
+    const char* engine;
   };
   const Cell cells[] = {
-      {core::Schedule::Static, 0.0, "static"},
-      {core::Schedule::Dynamic, 1.0, "dynamic"},
-      {core::Schedule::Hybrid, 0.10, "static(10%dyn)"},
-      {core::Schedule::WorkStealing, 0.0, "work-steal*"},
+      {core::Schedule::Static, 0.0, "static", "hybrid"},
+      {core::Schedule::Dynamic, 1.0, "dynamic", "hybrid"},
+      {core::Schedule::Hybrid, 0.10, "static(10%dyn)", "hybrid"},
+      {core::Schedule::Hybrid, 0.0, "work-steal*", "work-stealing"},
   };
   std::printf("%-22s", "layout\\schedule");
   for (const Cell& c : cells) std::printf("%-16s", c.name);
@@ -46,7 +47,8 @@ int main() {
       opt.layout = lay;
       opt.schedule = c.sched;
       opt.dratio = c.dratio;
-      Timing t = time_calu(a0, opt, team);
+      opt.engine = c.engine;
+      Timing t = time_calu(a0, opt, session);
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.2f%s", t.gflops,
                     in_paper ? "" : "+");

@@ -25,7 +25,7 @@ int main() {
               threads);
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
 
   // T1: serial time (the model's numerator), measured without noise.
   core::Options opt;
@@ -33,7 +33,7 @@ int main() {
   opt.layout = layout::Layout::BlockCyclic;
   opt.schedule = core::Schedule::Hybrid;
   opt.dratio = 0.1;
-  sched::ThreadTeam solo(1, true);
+  sched::Session solo(sched::SessionOptions{1, true});
   const double t1 = time_calu(a0, opt, solo, 1).seconds;
   std::printf("# measured T1 = %.3f s, Tp = T1/p = %.3f s\n", t1,
               t1 / threads);
@@ -53,7 +53,7 @@ int main() {
                               : core::Schedule::Hybrid;
     opt.dratio = d;
     opt.noise = spec;
-    Timing t = time_calu(a0, opt, team, reps());
+    Timing t = time_calu(a0, opt, session, reps());
     model::ModelParams m;
     m.t1 = t1;
     m.p = threads;

@@ -34,7 +34,7 @@ int run(const char* path, int threads, int nreps) {
     return 1;
   }
   if (threads <= 0) threads = bench::intel_threads();
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   // Calibration measurements get the same best-of treatment as the timed
   // rows, so a noise spike cannot crown the wrong candidate.
   tune::global_autotuner().set_measure(tune::real_measure(nreps));
@@ -68,7 +68,7 @@ int run(const char* path, int threads, int nreps) {
       opt.schedule = d == 0.0   ? core::Schedule::Static
                      : d == 1.0 ? core::Schedule::Dynamic
                                 : core::Schedule::Hybrid;
-      const bench::Timing t = bench::time_calu(a0, opt, team, nreps);
+      const bench::Timing t = bench::time_calu(a0, opt, session, nreps);
       if (best_s == 0.0 || t.seconds < best_s) {
         best_s = t.seconds;
         best_g = t.gflops;
@@ -88,7 +88,7 @@ int run(const char* path, int threads, int nreps) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - c0)
             .count();
     opt.b = opt.resolved_b();  // materialize for the shared packer
-    const bench::Timing t = bench::time_calu(a0, opt, team, nreps);
+    const bench::Timing t = bench::time_calu(a0, opt, session, nreps);
     const double ratio = t.seconds / best_s;
 
     std::fprintf(

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const int threads = std::min(16, sched::ThreadTeam::hardware_threads());
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 7);
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
 
   noise::NoiseSpec spec;
   spec.prob = 0.4;          // φ: injection probability per task boundary
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     warm.threads = threads;
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, warm.layout, warm.b, warm.resolved_grid());
-    core::getrf(p, warm, &team);
+    core::getrf(p, warm, session);
   }
   std::printf("%-22s %12s %12s %14s\n", "schedule", "clean(s)", "noisy(s)",
               "slowdown");
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         opt.noise.seed = 42 + r;
         layout::PackedMatrix p = layout::PackedMatrix::pack(
             a0, opt.layout, opt.b, opt.resolved_grid());
-        times.push_back(core::getrf(p, opt, &team).stats.factor_seconds);
+        times.push_back(core::getrf(p, opt, session).stats.factor_seconds);
       }
       std::sort(times.begin(), times.end());
       return times[times.size() / 2];

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const int n = argc > 1 ? std::atoi(argv[1]) : 1024;
   const int b = 64;
   const int threads = std::min(8, sched::ThreadTeam::hardware_threads());
-  sched::ThreadTeam team(threads, false);
+  sched::Session session(sched::SessionOptions{threads, false});
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 7);
   layout::Matrix x_true = layout::Matrix::random(n, 1, 8);
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   }
   {  // Partial pivoting.
     layout::Matrix lu = a0;
-    core::Factorization f = core::getrf_pp(lu, b, team);
+    core::Factorization f = core::getrf_pp(lu, b, session.team());
     layout::Matrix x = rhs;
     core::getrs(lu, f.ipiv, x);
     std::printf("%-34s %14.2e\n", "getrf_pp (partial pivoting)",
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   {  // Incremental pivoting.
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, layout::Layout::TwoLevelBlock, b, layout::Grid::best(threads));
-    core::IncpivFactor f = core::getrf_incpiv(p, team);
+    core::IncpivFactor f = core::getrf_incpiv(p, core::Options{}, session);
     layout::Matrix x = rhs;
     f.solve(x);
     std::printf("%-34s %14.2e\n", "incpiv (pairwise pivoting)",

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   std::printf("tuning CALU on %d threads, n=%d\n", threads, n);
   layout::Matrix a0 = layout::Matrix::random(n, n, 7);
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
 
   double best_gf = 0.0;
   layout::Layout best_lay = layout::Layout::BlockCyclic;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                                 : core::Schedule::Hybrid;
       layout::PackedMatrix p =
           layout::PackedMatrix::pack(a0, lay, opt.b, opt.resolved_grid());
-      core::Factorization f = core::getrf(p, opt, &team);
+      core::Factorization f = core::getrf(p, opt, session);
       std::printf("%22.0f %10.2f\n", d * 100, f.stats.gflops);
       if (f.stats.gflops > best_gf) {
         best_gf = f.stats.gflops;

@@ -97,8 +97,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   const std::string engine = jobs[0].options.resolved_engine();
   for (BatchJob& job : jobs) {
     Options& o = job.options;
-    if (o.tune != TuneMode::Off && o.engine.empty() &&
-        o.schedule != Schedule::WorkStealing && !o.locality_tags) {
+    if (o.tune != TuneMode::Off && o.engine.empty()) {
       o.engine = engine;
     } else if (o.resolved_engine() != engine) {
       throw std::invalid_argument(
@@ -202,79 +201,6 @@ BatchRunResult batched_run(std::vector<BatchJob>& jobs, BatchMode mode) {
   sched::Session ephemeral(session_options_from(
       jobs.empty() ? Options{} : jobs.front().options));
   return batched_run(jobs, ephemeral, mode);
-}
-
-BatchFactorResult batched_factor(util::Span<layout::Matrix> as,
-                                 const Options& opt,
-                                 sched::Session& session) {
-  std::vector<BatchJob> jobs(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    jobs[i].a = &as[i];
-    jobs[i].options = opt;
-  }
-  BatchRunResult run = batched_run(jobs, session, BatchMode::Sequential);
-  BatchFactorResult res;
-  res.stats = run.stats;
-  res.jobs.reserve(run.jobs.size());
-  for (BatchJobResult& j : run.jobs)
-    res.jobs.push_back(std::move(j.factorization));
-  return res;
-}
-
-BatchFactorResult batched_factor(util::Span<layout::Matrix> as,
-                                 const Options& opt) {
-  sched::Session ephemeral(session_options_from(opt));
-  return batched_factor(as, opt, ephemeral);
-}
-
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt, sched::Session& session) {
-  assert(as.size() == bs.size());
-  std::vector<BatchJob> jobs(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    // rhs is set, so *a is never written (gesv semantics) — the
-    // const_cast only bridges the span's constness into the job type.
-    jobs[i].a = const_cast<layout::Matrix*>(&as[i]);
-    jobs[i].rhs = &bs[i];
-    jobs[i].options = opt;
-  }
-  BatchRunResult run = batched_run(jobs, session, BatchMode::Sequential);
-  BatchSolveResult res;
-  res.stats = run.stats;
-  res.jobs.resize(run.jobs.size());
-  for (std::size_t i = 0; i < run.jobs.size(); ++i) {
-    res.jobs[i].x = std::move(run.jobs[i].x);
-    res.jobs[i].refine_steps = run.jobs[i].refine_steps;
-    res.jobs[i].residual = run.jobs[i].residual;
-    res.jobs[i].used_fallback = run.jobs[i].used_fallback;
-    res.jobs[i].factorization = std::move(run.jobs[i].factorization);
-  }
-  return res;
-}
-
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt) {
-  sched::Session ephemeral(session_options_from(opt));
-  return batched_gesv(as, bs, opt, ephemeral);
-}
-
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt, sched::Session& session,
-                              int max_refine) {
-  Options o = opt;
-  o.max_refine = max_refine;
-  return batched_gesv(as, bs, o, session);
-}
-
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt, int max_refine) {
-  Options o = opt;
-  o.max_refine = max_refine;
-  return batched_gesv(as, bs, o);
 }
 
 }  // namespace calu::core

@@ -28,7 +28,6 @@
 #include "src/core/calu.h"
 #include "src/core/solve.h"
 #include "src/sched/session.h"
-#include "src/util/span.h"
 
 namespace calu::core {
 
@@ -116,8 +115,8 @@ struct BatchRunResult {
 /// Runs a batch of factor / factor+solve jobs through one session.
 /// Matrices (and rhs) must outlive the call.  Fused mode rejects job sets
 /// that disagree on the engine with std::invalid_argument; observability
-/// hooks (recorder, noise, ws_seed, lookahead_depth) for the fused run
-/// are taken from the first job's Options.
+/// hooks (recorder, noise, lookahead_depth) for the fused run are taken
+/// from the first job's Options.
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            sched::Session& session,
                            BatchMode mode = BatchMode::Fused);
@@ -126,60 +125,5 @@ BatchRunResult batched_run(std::vector<BatchJob>& jobs,
 /// pinned from the first job's Options.
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            BatchMode mode = BatchMode::Fused);
-
-// ---------------------------------------------------------------------
-// Pre-BatchJob surface, kept as thin wrappers that build the job vector
-// and run it in Sequential mode (preserving their one-engine-run-per-job
-// observable behavior).  New code should submit BatchJobs.
-
-struct BatchFactorResult {
-  std::vector<Factorization> jobs;  ///< per-job results, input order
-  BatchStats stats;
-};
-
-struct BatchSolveResult {
-  std::vector<SolveResult> jobs;  ///< per-job results, input order
-  BatchStats stats;
-};
-
-/// Factors N independent column-major matrices in place (LAPACK-style
-/// combined L/U factors per job) through one session.  Jobs may have
-/// mixed sizes; `opt` applies to all of them (pin opt.pr/pc when
-/// comparing across team sizes).
-BatchFactorResult batched_factor(util::Span<layout::Matrix> as,
-                                 const Options& opt,
-                                 sched::Session& session);
-
-/// One-shot convenience: ephemeral session for the whole batch (still one
-/// team for all N jobs — the spawn is amortized across the batch).
-BatchFactorResult batched_factor(util::Span<layout::Matrix> as,
-                                 const Options& opt);
-
-/// Factor + solve N independent systems A[i] x = b[i] with up to
-/// opt.max_refine refinement steps each, through one session.  as[i] must
-/// be square with as[i].rows() == bs[i].rows(); sizes may differ across
-/// jobs.
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt, sched::Session& session);
-
-/// One-shot convenience: ephemeral session for the whole batch.
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt);
-
-// Deprecated trailing-parameter overloads: max_refine lives in
-// Options::max_refine now.  Thin wrappers kept so pre-existing call sites
-// keep compiling unchanged.
-[[deprecated("set Options::max_refine instead of the trailing parameter")]]
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt, sched::Session& session,
-                              int max_refine);
-
-[[deprecated("set Options::max_refine instead of the trailing parameter")]]
-BatchSolveResult batched_gesv(util::Span<const layout::Matrix> as,
-                              util::Span<const layout::Matrix> bs,
-                              const Options& opt, int max_refine);
 
 }  // namespace calu::core

@@ -335,7 +335,6 @@ const char* schedule_name(Schedule s) {
     case Schedule::Static: return "static";
     case Schedule::Dynamic: return "dynamic";
     case Schedule::Hybrid: return "hybrid";
-    case Schedule::WorkStealing: return "work-stealing";
   }
   return "?";
 }
@@ -404,8 +403,6 @@ int Options::resolved_b() const {
 
 std::string Options::resolved_engine() const {
   if (!engine.empty()) return engine;
-  if (schedule == Schedule::WorkStealing) return "work-stealing";
-  if (locality_tags) return "locality-tags";
   if (tune != TuneMode::Off) return tune::decision_for(*this).engine;
   return "hybrid";
 }
@@ -432,9 +429,9 @@ layout::OwnerRunner owner_runner_from(const Options& opt,
   if (!opt.first_touch || team.size() <= 1) return {};
   return [&team](int nowners, const std::function<void(int)>& fill) {
     team.run([&](int tid) {
-      // owner % p is how every engine maps Task::owner onto a thread, so
-      // the pages a thread faults in here belong to the tasks it will
-      // pop from its own queue later.
+      // owner % p is how the hybrid and look-ahead engines map
+      // Task::owner onto a thread, so the pages a thread faults in here
+      // belong to the tasks it will pop from its own queue later.
       for (int g = tid; g < nowners; g += team.size()) fill(g);
     });
   };
@@ -444,8 +441,6 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
                                std::unique_ptr<noise::Injector>& injector) {
   sched::RunHooks hooks;
   hooks.recorder = opt.recorder;
-  hooks.locality_tags = opt.locality_tags;
-  hooks.ws_seed = opt.ws_seed;
   hooks.lookahead_depth = opt.resolved_lookahead();
   if (opt.noise.enabled()) {
     injector = std::make_unique<noise::Injector>(opt.noise, team_size);
@@ -567,12 +562,7 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
   return f;
 }
 
-Factorization getrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team) {
-  if (team != nullptr) {
-    sched::Session borrowed(*team);
-    return getrf(a, opt, borrowed);
-  }
+Factorization getrf(layout::PackedMatrix& a, const Options& opt) {
   sched::Session ephemeral(session_options_from(opt));
   return getrf(a, opt, ephemeral);
 }

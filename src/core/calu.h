@@ -8,9 +8,9 @@
 // global queue in DFS order.  Threads always prefer their static queue
 // (progress on the critical path, data locality) and fall back to the
 // dynamic queue when idle — Algorithm 1's dynamic_tasks().  Static and
-// dynamic scheduling are the dratio = 0 / 1 degenerate cases; a
-// work-stealing executor over the same graph is provided as the
-// related-work baseline.
+// dynamic scheduling are the dratio = 0 / 1 degenerate cases; the
+// "work-stealing" engine runs the same graph as the related-work
+// baseline.
 #pragma once
 
 #include <cstdint>
@@ -29,11 +29,12 @@
 
 namespace calu::core {
 
+/// The d-ratio shortcuts of the Table-1 design space; the executor is
+/// chosen separately, by Options::engine.
 enum class Schedule {
-  Static,        // 100% static (dratio forced to 0)
-  Dynamic,       // 100% dynamic (dratio forced to 1)
-  Hybrid,        // static(dratio% dynamic) — the paper's contribution
-  WorkStealing,  // Cilk-style baseline over the same task graph (Section 8)
+  Static,   // 100% static (dratio forced to 0)
+  Dynamic,  // 100% dynamic (dratio forced to 1)
+  Hybrid,   // static(dratio% dynamic) — the paper's contribution
 };
 
 const char* schedule_name(Schedule s);
@@ -89,16 +90,13 @@ struct Options {
   /// bits are identical either way; off restores the serial caller-
   /// thread pack (useful as the "remote pages" baseline in benches).
   bool first_touch = true;
-  /// Section-9 extension: locality-tagged dynamic queues (per-thread tag
-  /// buckets instead of one shared queue; DFS order kept within buckets).
-  bool locality_tags = false;
   trace::Recorder* recorder = nullptr;  // optional timeline capture
   noise::NoiseSpec noise{};             // optional transient-load injection
-  std::uint64_t ws_seed = 7;            // work-stealing victim RNG seed
-  /// Executor registry name ("hybrid", "work-stealing", "locality-tags",
-  /// "priority-lookahead", or any engine registered via
-  /// sched::register_engine).  Empty = derive from `schedule` and
-  /// `locality_tags`; see resolved_engine().
+  /// Executor registry name ("hybrid", "locality-tags", "work-stealing",
+  /// "numa-hierarchical", "priority-lookahead", or any engine registered
+  /// via sched::register_engine) — the only engine selector.  Empty =
+  /// the tuned engine under Auto/Force, else "hybrid"; see
+  /// resolved_engine().
   std::string engine;
   /// "priority-lookahead" window: panel-column tasks within this many
   /// panels of the completion frontier are promoted to the engine's
@@ -136,10 +134,8 @@ struct Options {
   /// PackedMatrix-level entry points keep the caller's packing (a packed
   /// matrix's b cannot be re-chosen after the fact).
   int resolved_b() const;
-  /// The registry key actually used: `engine` when set, else
-  /// "work-stealing" for Schedule::WorkStealing, "locality-tags" when
-  /// locality_tags is on, the tuned engine under Auto/Force, "hybrid"
-  /// otherwise.
+  /// The registry key actually used: `engine` when set, else the tuned
+  /// engine under Auto/Force, else "hybrid".
   std::string resolved_engine() const;
   /// `lookahead_depth`, or the tuned window under Auto/Force.
   int resolved_lookahead() const;
@@ -226,9 +222,8 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session);
 
 /// One-shot: an ephemeral session is created for the call (team spawned
-/// and torn down).  If `team` is non-null the call borrows it instead.
-Factorization getrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team = nullptr);
+/// and torn down).
+Factorization getrf(layout::PackedMatrix& a, const Options& opt);
 
 /// Convenience: packs `a` into opt.layout, factors, and unpacks the
 /// combined L and U factors back into `a` (column-major, LAPACK getrf
@@ -261,8 +256,8 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
 sched::SessionOptions session_options_from(const Options& opt);
 
 /// The ownership-ordered first-touch runner for PackedMatrix::pack —
-/// owner g fills on team thread g % p, mirroring how every engine routes
-/// owned tasks.  Empty (serial pack) when Options::first_touch is off or
+/// owner g fills on team thread g % p, mirroring how the hybrid and
+/// look-ahead engines route owned tasks.  Empty (serial pack) when Options::first_touch is off or
 /// the team is a single thread.  The returned runner borrows `team`;
 /// use it before the team is torn down.
 layout::OwnerRunner owner_runner_from(const Options& opt,

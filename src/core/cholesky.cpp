@@ -215,12 +215,7 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt_in,
   return f;
 }
 
-Factorization potrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team) {
-  if (team != nullptr) {
-    sched::Session borrowed(*team);
-    return potrf(a, opt, borrowed);
-  }
+Factorization potrf(layout::PackedMatrix& a, const Options& opt) {
   sched::Session ephemeral(session_options_from(opt));
   return potrf(a, opt, ephemeral);
 }

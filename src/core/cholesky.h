@@ -55,10 +55,8 @@ class PotrfJob {
 Factorization potrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session);
 
-/// One-shot: an ephemeral session is created for the call; a non-null
-/// `team` is borrowed instead.
-Factorization potrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team = nullptr);
+/// One-shot: an ephemeral session is created for the call.
+Factorization potrf(layout::PackedMatrix& a, const Options& opt);
 
 /// Convenience on a column-major matrix: packs, factors, unpacks.
 Factorization potrf(layout::Matrix& a, const Options& opt);

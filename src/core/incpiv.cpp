@@ -235,19 +235,6 @@ IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
   return f;
 }
 
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
-                          sched::ThreadTeam& team) {
-  sched::Session borrowed(team);
-  return getrf_incpiv(a, opt, borrowed);
-}
-
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, sched::ThreadTeam& team,
-                          trace::Recorder* recorder) {
-  Options opt;
-  opt.recorder = recorder;
-  return getrf_incpiv(a, opt, team);
-}
-
 void IncpivFactor::solve(layout::Matrix& rhs) const {
   const layout::PackedMatrix& a = *a_;
   const layout::Tiling& tl = a.tiling();

@@ -50,18 +50,9 @@ class IncpivFactor {
 /// Factor the packed matrix in place with dynamically scheduled incremental
 /// pivoting (square matrices) on a caller-provided session.  The
 /// PackedMatrix stays owned by the caller and must outlive the returned
-/// factor.  Honors Options::engine / lookahead_depth / recorder / noise /
-/// ws_seed (the DAG is all-dynamic, so schedule/dratio have no effect
-/// beyond engine resolution).
+/// factor.  Honors Options::engine / lookahead_depth / recorder / noise
+/// (the DAG is all-dynamic, so schedule/dratio have no effect).
 IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
                           sched::Session& session);
-
-/// Borrowing-team variant (legacy drivers and benches).
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
-                          sched::ThreadTeam& team);
-
-/// Back-compat convenience: default Options (hybrid engine) + recorder.
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, sched::ThreadTeam& team,
-                          trace::Recorder* recorder = nullptr);
 
 }  // namespace calu::core

@@ -157,19 +157,4 @@ SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
   return res;
 }
 
-SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
-                 const Options& opt, int max_refine) {
-  Options o = opt;
-  o.max_refine = max_refine;
-  return gesv(a, b, o);
-}
-
-SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
-                 const Options& opt, sched::Session& session,
-                 int max_refine) {
-  Options o = opt;
-  o.max_refine = max_refine;
-  return gesv(a, b, o, session);
-}
-
 }  // namespace calu::core

@@ -99,16 +99,4 @@ void refine_mixed(const layout::Matrix& a, const layout::Matrix& b,
                   const layout::Matrix& lu, const Options& opt,
                   sched::Session& session, SolveResult& res);
 
-// Deprecated trailing-parameter overloads: max_refine lives in
-// Options::max_refine now.  Thin wrappers kept so pre-existing call sites
-// keep compiling unchanged.
-[[deprecated("set Options::max_refine instead of the trailing parameter")]]
-SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
-                 const Options& opt, int max_refine);
-
-[[deprecated("set Options::max_refine instead of the trailing parameter")]]
-SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
-                 const Options& opt, sched::Session& session,
-                 int max_refine);
-
 }  // namespace calu::core

@@ -70,7 +70,7 @@ class PackedMatrixT;
 /// the thread that will serve that owner's tasks.  Supplied by the
 /// scheduling layer (layout stays below sched in the dependency order):
 /// the CALU drivers map owner g onto team thread g % p, matching how
-/// every engine routes owned tasks.  Because each owner's buffer is
+/// the hybrid and look-ahead engines route owned tasks.  Because each owner's buffer is
 /// allocated *and written* inside `fill`, a NUMA first-touch policy
 /// places the owner's pages on the node of the thread that will factor
 /// them.  An empty runner means "fill on the calling thread" (the

@@ -1,12 +1,23 @@
-// engine.cpp — EngineStats merge/report and the back-compat free-function
-// wrappers.  The concrete executors live in engine_hybrid.cpp and
-// engine_work_stealing.cpp; selection goes through engine_registry.cpp.
+// engine.cpp — EngineStats merge/report and the built-in engines: three
+// ready-set policies, each driven by detail::run_policy (engine_impl.h),
+// behind the five registry names.
 #include "src/sched/engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "src/sched/chase_lev_deque.h"
+#include "src/sched/engine_impl.h"
 #include "src/sched/engine_registry.h"
+#include "src/sched/task_queue.h"
+#include "src/sched/topology.h"
 
 namespace calu::sched {
 
@@ -57,19 +68,279 @@ std::string EngineStats::report() const {
   return out;
 }
 
-EngineStats run_owner_queues(ThreadTeam& team, const TaskGraph& graph,
-                             const ExecFn& exec, const RunHooks& hooks) {
-  auto engine =
-      make_engine(hooks.locality_tags ? "locality-tags" : "hybrid");
-  return engine->run(team, graph, exec, hooks);
+namespace {
+
+using detail::From;
+using detail::Pop;
+
+/// "hybrid" and "locality-tags": the paper's owner queues (Algorithm 1).
+/// Owned tasks (the static section) wait in their owner's priority queue,
+/// the rest (the dynamic section) in the sharded global DFS queue.  A
+/// thread serves its own queue first and the global queue only when that
+/// is empty.  `by_tag` partitions the dynamic section per thread by
+/// Task::tag, so each thread serves its own tag's shard first and the
+/// other shards round-robin after it.
+class OwnerQueues {
+ public:
+  // Untagged, the dynamic section is one logical DFS queue sharded for
+  // contention; a single shard at p == 1 keeps the strict global order
+  // the degenerate case promises.
+  OwnerQueues(const ThreadTeam& team, const TaskGraph& graph,
+              const RunHooks&, bool by_tag)
+      : graph_(graph), p_(team.size()), by_tag_(by_tag), own_(p_),
+        shared_(by_tag ? p_ : std::min(p_, 8)) {}
+
+  bool push(int id, int) {
+    const Task& t = graph_.task(id);
+    if (t.owner >= 0)
+      own_[t.owner % p_].push(t.priority, id);
+    else if (by_tag_ && t.tag >= 0)
+      shared_.push_to(t.tag % shared_.shards(), t.priority, id);
+    else
+      shared_.push(t.priority, id);
+    return false;
+  }
+
+  Pop pop(int tid) {
+    int id = -1;
+    if (own_[tid].try_pop(id)) return {id, From::Own};
+    if (shared_.try_pop(id, tid % shared_.shards())) return {id, From::Shared};
+    return {};
+  }
+
+  void ran(int) {}
+
+ private:
+  const TaskGraph& graph_;
+  const int p_;
+  const bool by_tag_;
+  std::vector<PriorityTaskQueue> own_;
+  ShardedReadyQueue shared_;
+};
+
+/// "work-stealing" and "numa-hierarchical": lock-free Chase-Lev deques
+/// (Section 8's baseline).  A ready task goes to the deque of the thread
+/// that made it ready; the owner pops LIFO and idle threads steal FIFO,
+/// the classic Cilk discipline.  Owner hints and priorities are ignored.
+/// A thief walks its victim groups in order, probing each group from a
+/// pseudo-random start so thieves do not convoy on one victim.  Flat, one
+/// group holds every other thread.  `by_distance` makes one group per
+/// topology distance class (SMT sibling, shared L2, shared L3, same
+/// package, cross package; topology.h), cheapest first, so a thief
+/// crosses an L3 or package boundary only when everything nearer is
+/// empty (Beaumont & Marchal, arXiv:1404.3913); unpinned threads all
+/// classify kUnknown and degrade to the flat walk.  Either way every
+/// steal is counted in its distance class.
+class ChaseLev {
+ public:
+  ChaseLev(const ThreadTeam& team, const TaskGraph&, const RunHooks&,
+           bool by_distance)
+      : deques_(team.size()), rng_(team.size()), groups_(team.size()) {
+    const int p = team.size();
+    const Topology& topo = system_topology();
+    for (int t = 0; t < p; ++t) {
+      deques_[t] = std::make_unique<ChaseLevDeque>();
+      rng_[t].state = kSeed * 0x9E3779B97F4A7C15ULL + t + 1;
+      std::vector<std::vector<Victim>> bucket(kStealClassCount);
+      for (int v = 0; v < p; ++v) {
+        if (v == t) continue;
+        const StealClass c =
+            topo.classify(team.pinned_cpu(t), team.pinned_cpu(v));
+        bucket[by_distance ? static_cast<int>(c) : 0].push_back({v, c});
+      }
+      for (std::vector<Victim>& b : bucket)
+        if (!b.empty()) groups_[t].push_back(std::move(b));
+      // Measured steal latency when the probe ran, class rank otherwise.
+      std::sort(groups_[t].begin(), groups_[t].end(),
+                [&](const std::vector<Victim>& a,
+                    const std::vector<Victim>& b) {
+                  return topo.steal_cost(a[0].cls) < topo.steal_cost(b[0].cls);
+                });
+    }
+  }
+
+  bool push(int id, int tid) {
+    deques_[tid]->push_bottom(id);
+    return false;
+  }
+
+  Pop pop(int tid) {
+    int id = -1;
+    if (deques_[tid]->pop_bottom(id)) return {id, From::Own};
+    Pop got;
+    for (const std::vector<Victim>& group : groups_[tid]) {
+      const std::size_t m = group.size();
+      const std::size_t start = rng_[tid].next() % m;
+      for (std::size_t k = 0; k < m; ++k) {
+        ++got.attempts;
+        const Victim& v = group[(start + k) % m];
+        if (deques_[v.tid]->steal_top(id)) {
+          got.id = id;
+          got.from = From::Stolen;
+          got.steal_class = static_cast<int>(v.cls);
+          return got;
+        }
+      }
+    }
+    return got;
+  }
+
+  void ran(int) {}
+
+ private:
+  static constexpr std::uint64_t kSeed = 7;  // victim-order RNG seed
+  struct Victim {
+    int tid;
+    StealClass cls;
+  };
+  struct alignas(64) Rng {  // xorshift64*, one cache line per thread
+    std::uint64_t state = 0;
+    std::uint64_t next() {
+      state ^= state >> 12;
+      state ^= state << 25;
+      state ^= state >> 27;
+      return state * 0x2545F4914F6CDD1DULL;
+    }
+  };
+  std::vector<std::unique_ptr<ChaseLevDeque>> deques_;
+  std::vector<Rng> rng_;
+  std::vector<std::vector<std::vector<Victim>>> groups_;  // per thread
+};
+
+/// True for tasks on a panel column (the factorization's critical path):
+/// panel preprocessing (P), the panel's L tiles, and the pL operand
+/// packs.  Generic tasks (step < 0), off-panel tasks, and tasks whose job
+/// opted out of promotion (Batch priority class) never promote.
+bool panel_column_task(const Task& t) {
+  if (!t.promotable) return false;
+  if (t.step < 0) return false;
+  if (t.kind == trace::Kind::P) return true;
+  if (t.kind != trace::Kind::L && t.kind != trace::Kind::PackL) return false;
+  return t.j < 0 || t.j == t.step;
 }
 
-EngineStats run_work_stealing(ThreadTeam& team, const TaskGraph& graph,
-                              const ExecFn& exec, const RunHooks& hooks,
-                              std::uint64_t seed) {
-  RunHooks h = hooks;
-  h.ws_seed = seed;
-  return make_engine("work-stealing")->run(team, graph, exec, h);
+/// "priority-lookahead", after arXiv:1804.07017.  The static look-ahead
+/// of task_queue.h is an artifact of the priority key: panel-column tasks
+/// sort first only within one thread's queue, so a panel advances only
+/// when the thread holding it gets to it.  This policy makes it dynamic:
+///
+///   * A ready task goes to its owner's priority queue or, unowned, to
+///     the queue of the thread that made it ready (its inputs are hot in
+///     that cache).
+///   * A panel-column task whose step lies within RunHooks::
+///     lookahead_depth panels of the completion frontier is promoted to
+///     a shared urgent queue every thread serves before its own.
+///   * A thread with nothing local scans the other threads' queues, so no
+///     ready task is stranded behind a busy owner.
+///
+/// The frontier is the oldest step with unfinished tasks, tracked by
+/// per-step counters that ran() decrements before the successors are
+/// classified.  The bounded window keeps the policy a look-ahead (bounded
+/// live panels and pack-arena footprint) rather than a depth-first rush.
+class Lookahead {
+ public:
+  Lookahead(const ThreadTeam& team, const TaskGraph& graph,
+            const RunHooks& hooks, bool)
+      : graph_(graph), p_(team.size()),
+        depth_(std::max(1, hooks.lookahead_depth)), own_(p_),
+        step_left_(num_steps(graph)) {
+    for (int t = 0; t < graph.num_tasks(); ++t)
+      if (graph.task(t).step >= 0)
+        step_left_[graph.task(t).step].fetch_add(1, std::memory_order_relaxed);
+  }
+
+  bool push(int id, int tid) {
+    const Task& t = graph_.task(id);
+    if (panel_column_task(t) &&
+        t.step < frontier_.load(std::memory_order_relaxed) + depth_) {
+      urgent_.push(t.priority, id);
+      return true;
+    }
+    own_[t.owner >= 0 ? t.owner % p_ : tid].push(t.priority, id);
+    return false;
+  }
+
+  Pop pop(int tid) {
+    int id = -1;
+    if (urgent_.try_pop(id)) return {id, From::Promoted};
+    if (own_[tid].try_pop(id)) return {id, From::Own};
+    if (p_ == 1) return {};
+    for (int i = 1; i < p_; ++i)
+      if (own_[(tid + i) % p_].try_pop(id)) return {id, From::Stolen, 1};
+    return {-1, From::Own, 1};
+  }
+
+  void ran(int id) {
+    const int k = graph_.task(id).step;
+    if (k < 0 || step_left_[k].fetch_sub(1, std::memory_order_acq_rel) != 1)
+      return;
+    // Advance past every finished step; a failed CAS reloads `f`.
+    const int nsteps = static_cast<int>(step_left_.size());
+    int f = frontier_.load(std::memory_order_acquire);
+    while (f < nsteps && step_left_[f].load(std::memory_order_acquire) == 0)
+      if (frontier_.compare_exchange_weak(f, f + 1,
+                                          std::memory_order_acq_rel))
+        ++f;
+  }
+
+ private:
+  static int num_steps(const TaskGraph& graph) {
+    int n = 0;
+    for (int t = 0; t < graph.num_tasks(); ++t)
+      n = std::max(n, graph.task(t).step + 1);
+    return n;
+  }
+
+  const TaskGraph& graph_;
+  const int p_;
+  const int depth_;
+  std::vector<PriorityTaskQueue> own_;
+  PriorityTaskQueue urgent_;  // promoted panel-column tasks, shared
+  std::vector<std::atomic<int>> step_left_;
+  std::atomic<int> frontier_{0};
+};
+
+/// A registry engine: every run() builds a fresh Policy (engines keep no
+/// state across runs) and hands it to the one executor loop.
+template <class Policy>
+class PolicyEngine final : public Engine {
+ public:
+  PolicyEngine(std::string name, bool variant)
+      : name_(std::move(name)), variant_(variant) {}
+
+  const std::string& name() const override { return name_; }
+
+  EngineStats run(ThreadTeam& team, const TaskGraph& graph,
+                  const ExecFn& exec, const RunHooks& hooks) override {
+    Policy policy(team, graph, hooks, variant_);
+    return detail::run_policy(policy, team, graph, exec, hooks);
+  }
+
+ private:
+  std::string name_;
+  bool variant_;  // OwnerQueues: by_tag; ChaseLev: by_distance
+};
+
+template <class Policy>
+std::pair<std::string, EngineFactory> builtin(const char* name,
+                                              bool variant = false) {
+  EngineFactory make = [name, variant] {
+    return std::make_unique<PolicyEngine<Policy>>(name, variant);
+  };
+  return {name, std::move(make)};
 }
 
+}  // namespace
+
+namespace detail {
+
+std::vector<std::pair<std::string, EngineFactory>> builtin_engines() {
+  return {builtin<OwnerQueues>("hybrid"),
+          builtin<OwnerQueues>("locality-tags", /*by_tag=*/true),
+          builtin<ChaseLev>("work-stealing"),
+          builtin<ChaseLev>("numa-hierarchical", /*by_distance=*/true),
+          builtin<Lookahead>("priority-lookahead")};
+}
+
+}  // namespace detail
 }  // namespace calu::sched

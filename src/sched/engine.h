@@ -1,7 +1,9 @@
 // engine.h — the pluggable task-graph executor interface.
 //
 // One task dependency graph serves the whole static<->dynamic design space
-// (Table 1 of the paper); *how* it is executed is an Engine:
+// (Table 1 of the paper); *how* it is executed is an Engine.  The five
+// built-in names are three ready-set policies driven by one executor loop
+// (detail::run_policy, engine_impl.h):
 //
 //   "hybrid"        — the paper's scheduler (Algorithm 1): every thread
 //                     first serves its own priority queue of ready *static*
@@ -10,14 +12,18 @@
 //                     global queue of *dynamic* tasks in DFS order.  Fully
 //                     static and fully dynamic are the two degenerate
 //                     cases.
-//   "locality-tags" — Section-9 extension: the dynamic section is
-//                     partitioned by Task::tag and each thread serves its
-//                     own tag's shard first ("tasks whose data is highly
-//                     likely to be in a core's cache already"), falling
-//                     back to other shards round-robin.
+//   "locality-tags" — Section-9 extension: the same owner queues, with the
+//                     dynamic section partitioned by Task::tag so each
+//                     thread serves its own tag's shard first ("tasks whose
+//                     data is highly likely to be in a core's cache
+//                     already"), falling back to other shards round-robin.
 //   "work-stealing" — the related-work baseline (Section 8): ready tasks
 //                     go to the spawning thread's lock-free Chase-Lev
-//                     deque; idle threads steal FIFO from random victims.
+//                     deque; idle threads steal FIFO, probing the other
+//                     threads from a random start.
+//   "numa-hierarchical" — the same deques, with victims probed nearest
+//                     topology distance class first (Beaumont & Marchal,
+//                     arXiv:1404.3913).
 //   "priority-lookahead" — dynamic look-ahead (à la arXiv:1804.07017):
 //                     ready tasks go to per-thread mutable priority
 //                     queues, but a panel-column task (P / panel L / pL)
@@ -29,11 +35,9 @@
 //
 // Engines are obtained by name from the registry (engine_registry.h) so
 // drivers, benches, and examples never hard-wire an executor; new policies
-// (priority look-ahead, NUMA-aware stealing, batched multi-solve) plug in
-// by registering a factory.
+// plug in by registering a factory.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -57,17 +61,12 @@ using ExecFn = std::function<void(int id, int tid)>;
 struct RunHooks {
   trace::Recorder* recorder = nullptr;  // optional timeline recording
   noise::Injector* injector = nullptr;  // optional transient-load injection
-  /// Makes the "hybrid" engine behave as "locality-tags" (kept so callers
-  /// holding a hybrid engine can flip the policy per run; selecting the
-  /// "locality-tags" engine from the registry sets it for you).
-  bool locality_tags = false;
-  std::uint64_t ws_seed = 7;  // work-stealing victim RNG seed
   /// "priority-lookahead" window: panel-column tasks whose step is within
   /// `lookahead_depth` panels of the completion frontier are promoted to
   /// the shared urgent queue.  Other engines ignore it.
   int lookahead_depth = 4;
   /// Invoked from the completion path every engine shares
-  /// (detail::RunContext::run_task) after a task's body returned and its
+  /// (detail::run_policy) after a task's body returned and its
   /// successors were notified, on the worker thread that executed it —
   /// and strictly before the engine can observe the run as done, so the
   /// callback never races engine teardown.  `dynamic` mirrors the queue
@@ -78,26 +77,27 @@ struct RunHooks {
   std::function<void(int id, int tid, bool dynamic)> on_retire;
 };
 
-/// Merged execution counters.  Engines accumulate per-thread into
-/// cache-line padded slots (PerThreadStats below) and merge once at the
-/// end, so hot-loop increments never false-share.
+/// Merged execution counters.  The executor loop accumulates per-thread
+/// into cache-line padded slots and merges once at the end, so hot-loop
+/// increments never false-share.  Every pop is counted exactly once, so
+/// static_pops + dynamic_pops + steals is the task count of the run.
 struct EngineStats {
   std::uint64_t static_pops = 0;   // tasks served from per-thread queues
-  std::uint64_t dynamic_pops = 0;  // tasks served from the global queue
-  std::uint64_t steals = 0;        // successful steals (work stealing only)
+  std::uint64_t dynamic_pops = 0;  // tasks served from a shared queue
+  std::uint64_t steals = 0;        // tasks taken from another thread's queue
   std::uint64_t steal_attempts = 0;
   /// Panel-column tasks promoted past the local queues into the shared
   /// urgent queue ("priority-lookahead" only; 0 elsewhere).
   std::uint64_t promotions = 0;
   /// Successful steals bucketed by the topology distance between thief
   /// and victim (indexed by StealClass; see topology.h).  Filled by the
-  /// "numa-hierarchical" engine — sums to `steals` there; all-zero for
-  /// engines that do not classify their steals.
+  /// Chase-Lev engines ("work-stealing", "numa-hierarchical") — sums to
+  /// `steals` there; all-zero for engines that do not classify steals.
   std::uint64_t steals_by_class[kStealClassCount] = {};
   /// Team threads whose topology-derived pinning was verified effective
-  /// at run time (ThreadTeam::pinned_count), or -1 when the engine did
-  /// not report placement.  merge() keeps the max, so session totals
-  /// reflect the best-pinned run.
+  /// at run time (ThreadTeam::pinned_count), or -1 when no run was
+  /// merged in.  merge() keeps the max, so session totals reflect the
+  /// best-pinned run.
   int pinned_threads = -1;
   double elapsed = 0.0;  // seconds inside the engine (max over merges)
 
@@ -107,29 +107,6 @@ struct EngineStats {
 
   /// One-line human-readable summary, used by bench/ and trace/ reporting.
   std::string report() const;
-};
-
-/// Per-thread counter slot, padded to a cache line to kill false sharing
-/// between adjacent threads' hot-loop increments.
-struct alignas(64) PerThreadStats {
-  std::uint64_t static_pops = 0;
-  std::uint64_t dynamic_pops = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t steals_by_class[kStealClassCount] = {};
-
-  EngineStats to_stats() const {
-    EngineStats st;
-    st.static_pops = static_pops;
-    st.dynamic_pops = dynamic_pops;
-    st.steals = steals;
-    st.steal_attempts = steal_attempts;
-    st.promotions = promotions;
-    for (int c = 0; c < kStealClassCount; ++c)
-      st.steals_by_class[c] = steals_by_class[c];
-    return st;
-  }
 };
 
 /// Abstract executor over a finalized TaskGraph.  Implementations must be
@@ -147,20 +124,5 @@ class Engine {
                           const ExecFn& exec,
                           const RunHooks& hooks = {}) = 0;
 };
-
-// ---------------------------------------------------------------------
-// Back-compat free functions (thin wrappers over registry engines).  New
-// code should select an engine by name via engine_registry.h instead.
-
-/// Hybrid static/dynamic execution: "hybrid" (or "locality-tags" when
-/// hooks.locality_tags is set).
-EngineStats run_owner_queues(ThreadTeam& team, const TaskGraph& graph,
-                             const ExecFn& exec, const RunHooks& hooks = {});
-
-/// Chase-Lev randomized work stealing over the same graph (owner hints are
-/// ignored; thieves steal FIFO, the classic discipline).
-EngineStats run_work_stealing(ThreadTeam& team, const TaskGraph& graph,
-                              const ExecFn& exec, const RunHooks& hooks = {},
-                              std::uint64_t seed = 7);
 
 }  // namespace calu::sched

@@ -9,15 +9,10 @@
 
 namespace calu::sched {
 
-// Built-in factories, defined in engine_hybrid.cpp / engine_work_stealing.cpp.
-// Declared here (not in a public header) so the registry is the only place
-// that knows the concrete set; everything else goes through names.
+// The built-in engines, defined in engine.cpp.  Declared here, not in a
+// public header: everything outside the registry goes through names.
 namespace detail {
-std::unique_ptr<Engine> make_hybrid_engine(std::string name,
-                                           bool locality_tags);
-std::unique_ptr<Engine> make_work_stealing_engine(std::string name);
-std::unique_ptr<Engine> make_priority_engine(std::string name);
-std::unique_ptr<Engine> make_numa_engine(std::string name);
+std::vector<std::pair<std::string, EngineFactory>> builtin_engines();
 }  // namespace detail
 
 namespace {
@@ -28,22 +23,8 @@ struct Registry {
   std::map<std::string, EngineFactory, std::less<>> factories;
 
   Registry() {
-    factories.emplace("hybrid", [] {
-      return detail::make_hybrid_engine("hybrid", /*locality_tags=*/false);
-    });
-    factories.emplace("locality-tags", [] {
-      return detail::make_hybrid_engine("locality-tags",
-                                        /*locality_tags=*/true);
-    });
-    factories.emplace("work-stealing", [] {
-      return detail::make_work_stealing_engine("work-stealing");
-    });
-    factories.emplace("priority-lookahead", [] {
-      return detail::make_priority_engine("priority-lookahead");
-    });
-    factories.emplace("numa-hierarchical", [] {
-      return detail::make_numa_engine("numa-hierarchical");
-    });
+    for (auto& [name, factory] : detail::builtin_engines())
+      factories.emplace(std::move(name), std::move(factory));
   }
 };
 

@@ -1,8 +1,9 @@
 // engine_registry.h — string-keyed factory registry for executors.
 //
 // The registry is the seam every future executor plugs into: drivers ask
-// for an engine by name ("hybrid", "work-stealing", "locality-tags",
-// "priority-lookahead") and never link against a concrete executor.
+// for an engine by name ("hybrid", "locality-tags", "work-stealing",
+// "numa-hierarchical", "priority-lookahead") and never link against a
+// concrete executor.
 // Registration is explicit (the built-ins are registered on first use), so
 // a static-library build cannot silently drop an engine TU, and downstream
 // code can add engines at runtime:

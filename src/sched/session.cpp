@@ -11,12 +11,8 @@
 namespace calu::sched {
 
 Session::Session(const SessionOptions& opt)
-    : owned_team_(std::make_unique<ThreadTeam>(
-          opt.threads > 0 ? opt.threads : ThreadTeam::hardware_threads(),
-          opt.pin_threads)),
-      team_(owned_team_.get()) {}
-
-Session::Session(ThreadTeam& team) : team_(&team) {}
+    : team_(opt.threads > 0 ? opt.threads : ThreadTeam::hardware_threads(),
+            opt.pin_threads) {}
 
 Engine& Session::engine(std::string_view name) {
   auto it = engines_.find(name);
@@ -30,7 +26,7 @@ Engine& Session::engine(std::string_view name) {
 EngineStats Session::run(const TaskGraph& graph, const ExecFn& exec,
                          const RunHooks& hooks,
                          std::string_view engine_name) {
-  EngineStats st = engine(engine_name).run(*team_, graph, exec, hooks);
+  EngineStats st = engine(engine_name).run(team_, graph, exec, hooks);
   totals_.merge(st);
   ++runs_;
   return st;
@@ -123,7 +119,7 @@ FusedRunResult Session::run_fused(std::vector<FusedJob>& jobs,
     }
   };
 
-  res.engine = engine(engine_name).run(*team_, fused, exec, fused_hooks);
+  res.engine = engine(engine_name).run(team_, fused, exec, fused_hooks);
   totals_.merge(res.engine);
   ++runs_;
 

@@ -82,15 +82,11 @@ class Session {
   /// Spawns and owns the session's thread team.
   explicit Session(const SessionOptions& opt = {});
 
-  /// Borrows an externally owned team (legacy drivers and benches that
-  /// already manage a ThreadTeam).  The team must outlive the session.
-  explicit Session(ThreadTeam& team);
-
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  ThreadTeam& team() { return *team_; }
-  int threads() const { return team_->size(); }
+  ThreadTeam& team() { return team_; }
+  int threads() const { return team_.size(); }
 
   /// The cached engine instance for a registry name, created on first use
   /// with make_engine_or_default semantics (unknown names warn once and
@@ -129,8 +125,7 @@ class Session {
   const EngineStats& totals() const { return totals_; }
 
  private:
-  std::unique_ptr<ThreadTeam> owned_team_;
-  ThreadTeam* team_;
+  ThreadTeam team_;
   // std::less<> enables heterogeneous string_view lookup.
   std::map<std::string, std::unique_ptr<Engine>, std::less<>> engines_;
   EngineStats totals_;

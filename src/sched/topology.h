@@ -14,9 +14,9 @@
 // Consumers:
 //   * `ThreadTeam` pins threads in `pin_order()` (hierarchical,
 //     physical-cores-first) restricted to the process affinity mask.
-//   * The "numa-hierarchical" engine (engine_numa.cpp) sorts steal
-//     victims by `classify()` so idle threads raid the nearest deque
-//     first and cross-package traffic is the last resort.
+//   * The "numa-hierarchical" engine (the ChaseLev policy, engine.cpp)
+//     groups steal victims by `classify()` so idle threads raid the
+//     nearest deque first and cross-package traffic is the last resort.
 //   * The benches stamp `summary()` into BENCH_kernels.json so committed
 //     numbers say what machine shape produced them.
 //

@@ -81,8 +81,8 @@ TEST_P(IncpivTest, SolveResidualSmall) {
   Matrix a = Matrix::random(n, n, 205);
   PackedMatrix p =
       PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid::best(threads));
-  sched::ThreadTeam team(threads, false);
-  auto f = core::getrf_incpiv(p, team);
+  sched::Session session(sched::SessionOptions{threads, false});
+  auto f = core::getrf_incpiv(p, core::Options{}, session);
   Matrix x = Matrix::random(n, 3, 206);
   Matrix rhs(n, 3);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 3, n, 1.0, a.data(), a.ld(),
@@ -106,8 +106,8 @@ TEST(Incpiv, WorksOnTiledLayouts) {
   Matrix a = Matrix::random(n, n, 207);
   for (Layout l : {Layout::BlockCyclic, Layout::TwoLevelBlock}) {
     PackedMatrix p = PackedMatrix::pack(a, l, b, Grid{2, 2});
-    sched::ThreadTeam team(4, false);
-    auto f = core::getrf_incpiv(p, team);
+    sched::Session session(sched::SessionOptions{4, false});
+    auto f = core::getrf_incpiv(p, core::Options{}, session);
     Matrix x = Matrix::random(n, 1, 208);
     Matrix rhs(n, 1);
     blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(),
@@ -122,8 +122,8 @@ TEST(Incpiv, DiagonallyDominantStaysPivotFree) {
   const int n = 48, b = 16;
   Matrix a = Matrix::diag_dominant(n, 209);
   PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid{2, 2});
-  sched::ThreadTeam team(4, false);
-  auto f = core::getrf_incpiv(p, team);
+  sched::Session session(sched::SessionOptions{4, false});
+  auto f = core::getrf_incpiv(p, core::Options{}, session);
   Matrix x = Matrix::random(n, 1, 210);
   Matrix rhs(n, 1);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(), a.ld(),
@@ -137,8 +137,8 @@ TEST(Incpiv, TaskCountMatchesTiledLu) {
   const int n = 80, b = 16;  // nt = 5
   Matrix a = Matrix::random(n, n, 211);
   PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid{1, 1});
-  sched::ThreadTeam team(2, false);
-  auto f = core::getrf_incpiv(p, team);
+  sched::Session session(sched::SessionOptions{2, false});
+  auto f = core::getrf_incpiv(p, core::Options{}, session);
   const int nt = 5;
   int expected = nt;                        // GETRF
   expected += nt * (nt - 1);                // GESSM + TSTRF

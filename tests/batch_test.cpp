@@ -57,6 +57,26 @@ std::vector<Matrix> mixed_jobs(std::uint64_t seed) {
   return jobs;
 }
 
+/// Builds the BatchJob vector for a set of in-place factor jobs.
+std::vector<core::BatchJob> factor_jobs(std::vector<Matrix>& ms,
+                                        const Options& opt) {
+  std::vector<core::BatchJob> jobs(ms.size());
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    jobs[i].a = &ms[i];
+    jobs[i].options = opt;
+  }
+  return jobs;
+}
+
+/// Jobs solving as[i] x = bs[i]; gesv semantics leave as[i] untouched.
+std::vector<core::BatchJob> solve_jobs(std::vector<Matrix>& as,
+                                       const std::vector<Matrix>& bs,
+                                       const Options& opt) {
+  std::vector<core::BatchJob> jobs = factor_jobs(as, opt);
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].rhs = &bs[i];
+  return jobs;
+}
+
 // -------------------------------------------------------- bit-identity ---
 
 TEST(BatchedFactor, BitIdenticalToOneShotAcrossEnginesAndPackModes) {
@@ -71,13 +91,14 @@ TEST(BatchedFactor, BitIdenticalToOneShotAcrossEnginesAndPackModes) {
 
       std::vector<Matrix> batch = mixed_jobs(1201);
       sched::Session session(sched::SessionOptions{4, false});
-      core::BatchFactorResult res =
-          core::batched_factor(batch, opt, session);
+      std::vector<core::BatchJob> jobs = factor_jobs(batch, opt);
+      core::BatchRunResult res =
+          core::batched_run(jobs, session, core::BatchMode::Sequential);
 
       ASSERT_EQ(res.jobs.size(), ref.size());
       for (std::size_t i = 0; i < ref.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        EXPECT_EQ(res.jobs[i].ipiv, ref_f[i].ipiv);
+        EXPECT_EQ(res.jobs[i].factorization.ipiv, ref_f[i].ipiv);
         EXPECT_EQ(test::max_abs_diff(batch[i], ref[i]), 0.0);
       }
       EXPECT_EQ(res.stats.dag_runs, ref.size());
@@ -103,7 +124,9 @@ TEST(BatchedGesv, BitIdenticalToOneShotAcrossEngines) {
       ref.push_back(core::gesv(as[i], bs[i], opt));
 
     sched::Session session(sched::SessionOptions{4, false});
-    core::BatchSolveResult res = core::batched_gesv(as, bs, opt, session);
+    std::vector<core::BatchJob> jobs = solve_jobs(as, bs, opt);
+    core::BatchRunResult res =
+        core::batched_run(jobs, session, core::BatchMode::Sequential);
 
     ASSERT_EQ(res.jobs.size(), as.size());
     for (std::size_t i = 0; i < as.size(); ++i) {
@@ -139,8 +162,8 @@ TEST(Session, IncpivBitIdenticalToOneShot) {
 
   layout::PackedMatrix p_ref = layout::PackedMatrix::pack(
       a0, layout::Layout::TwoLevelBlock, b, layout::Grid{2, 2});
-  sched::ThreadTeam team_ref(4, false);
-  core::IncpivFactor f_ref = core::getrf_incpiv(p_ref, opt, team_ref);
+  sched::Session ref_session(sched::SessionOptions{4, false});
+  core::IncpivFactor f_ref = core::getrf_incpiv(p_ref, opt, ref_session);
   Matrix x_ref = rhs0;
   f_ref.solve(x_ref);
 
@@ -177,7 +200,9 @@ TEST(Session, ThreadsSpawnOncePerSession) {
   const std::uint64_t workers0 = sched::ThreadTeam::workers_spawned();
   {
     sched::Session session(sched::SessionOptions{4, false});
-    core::BatchSolveResult res = core::batched_gesv(as, bs, opt, session);
+    std::vector<core::BatchJob> jobs = solve_jobs(as, bs, opt);
+    core::BatchRunResult res =
+        core::batched_run(jobs, session, core::BatchMode::Sequential);
     EXPECT_EQ(res.jobs.size(), 3u);
     EXPECT_EQ(session.runs(), 3u);
   }
@@ -190,16 +215,6 @@ TEST(Session, ThreadsSpawnOncePerSession) {
     core::gesv(as[i], bs[i], opt);
   EXPECT_EQ(sched::ThreadTeam::teams_constructed(),
             teams1 + static_cast<std::uint64_t>(as.size()));
-}
-
-TEST(Session, BorrowedTeamSpawnsNothing) {
-  sched::ThreadTeam team(2, false);
-  const std::uint64_t teams0 = sched::ThreadTeam::teams_constructed();
-  sched::Session session(team);
-  Matrix a = Matrix::random(64, 64, 1701);
-  core::getrf(a, batch_options("hybrid", true), session);
-  EXPECT_EQ(sched::ThreadTeam::teams_constructed(), teams0);
-  EXPECT_EQ(session.threads(), 2);
 }
 
 // ------------------------------------------------------ session state ---
@@ -257,17 +272,6 @@ TEST(Session, MixedWorkloadSharesOneTeam) {
 }
 
 // ------------------------------------------------------- fused batches ---
-
-/// Builds the BatchJob vector for a set of in-place factor jobs.
-std::vector<core::BatchJob> factor_jobs(std::vector<Matrix>& ms,
-                                        const Options& opt) {
-  std::vector<core::BatchJob> jobs(ms.size());
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    jobs[i].a = &ms[i];
-    jobs[i].options = opt;
-  }
-  return jobs;
-}
 
 // The tentpole acceptance matrix: a fused submission (one engine run for
 // the whole batch) must produce exactly the factors and pivots of the
@@ -486,34 +490,6 @@ TEST(BatchedRun, EmptyBatchIsANoOp) {
   EXPECT_TRUE(res.completion_order.empty());
   EXPECT_EQ(res.stats.dag_runs, 0u);
   EXPECT_EQ(session.runs(), 0u);
-}
-
-// The deprecated trailing-max_refine overloads must keep compiling with
-// their pre-redesign signatures and behave exactly like setting
-// Options::max_refine.
-TEST(BatchedRun, DeprecatedTrailingMaxRefineWrappersStillWork) {
-  const int n = 64;
-  const Matrix a = Matrix::random(n, n, 2501);
-  const Matrix b = Matrix::random(n, 1, 2502);
-  Options opt = batch_options("hybrid", true);
-
-  opt.max_refine = 3;
-  core::SolveResult want = core::gesv(a, b, opt);
-
-  opt.max_refine = 2;  // the trailing argument must override this
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  core::SolveResult got = core::gesv(a, b, opt, 3);
-  std::vector<Matrix> as{a};
-  std::vector<Matrix> bs{b};
-  core::BatchSolveResult batch = core::batched_gesv(as, bs, opt, 3);
-#pragma GCC diagnostic pop
-
-  EXPECT_EQ(test::max_abs_diff(got.x, want.x), 0.0);
-  EXPECT_EQ(got.refine_steps, want.refine_steps);
-  ASSERT_EQ(batch.jobs.size(), 1u);
-  EXPECT_EQ(test::max_abs_diff(batch.jobs[0].x, want.x), 0.0);
-  EXPECT_EQ(batch.jobs[0].refine_steps, want.refine_steps);
 }
 
 }  // namespace

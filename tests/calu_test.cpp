@@ -4,6 +4,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
@@ -42,11 +43,12 @@ struct CaluCase {
   Layout layout;
   int m, n, b, threads;
   double dratio;
+  const char* engine = "";  // empty: the default ("hybrid")
 };
 
 std::string case_name(const ::testing::TestParamInfo<CaluCase>& info) {
   const CaluCase& c = info.param;
-  std::string s = core::schedule_name(c.sched);
+  std::string s = *c.engine ? c.engine : core::schedule_name(c.sched);
   s += std::string("_") + layout::layout_name(c.layout) + "_m" +
        std::to_string(c.m) + "n" + std::to_string(c.n) + "b" +
        std::to_string(c.b) + "t" + std::to_string(c.threads) + "d" +
@@ -62,6 +64,7 @@ TEST_P(CaluSweep, ResidualBounded) {
   const CaluCase& c = GetParam();
   Options opt;
   opt.schedule = c.sched;
+  opt.engine = c.engine;
   opt.layout = c.layout;
   opt.b = c.b;
   opt.threads = c.threads;
@@ -78,9 +81,12 @@ TEST_P(CaluSweep, ResidualBounded) {
 
 std::vector<CaluCase> sweep_cases() {
   std::vector<CaluCase> cases;
-  const std::vector<Schedule> scheds = {Schedule::Static, Schedule::Dynamic,
-                                        Schedule::Hybrid,
-                                        Schedule::WorkStealing};
+  // The three d-ratio shortcuts, plus the work-stealing engine at d = 0.2.
+  const std::vector<std::pair<Schedule, const char*>> scheds = {
+      {Schedule::Static, ""},
+      {Schedule::Dynamic, ""},
+      {Schedule::Hybrid, ""},
+      {Schedule::Hybrid, "work-stealing"}};
   const std::vector<Layout> layouts = {Layout::BlockCyclic,
                                        Layout::TwoLevelBlock,
                                        Layout::ColumnMajor};
@@ -90,10 +96,10 @@ std::vector<CaluCase> sweep_cases() {
       {64, 64, 64},                       // single panel
       {37, 37, 10},                       // everything partial
   };
-  for (Schedule s : scheds)
+  for (auto [s, engine] : scheds)
     for (Layout l : layouts)
       for (auto [m, n, b] : shapes)
-        cases.push_back({s, l, m, n, b, 4, 0.2});
+        cases.push_back({s, l, m, n, b, 4, 0.2, engine});
   // Thread-count and dratio variations on one shape.
   for (int t : {1, 2, 3, 8})
     cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, 128, 128, 16, t,
@@ -129,7 +135,7 @@ TEST(CaluDeterminism, SchedulesProduceIdenticalFactors) {
   o.schedule = Schedule::Hybrid;
   o.dratio = 0.3;
   factor_and_residual(n, n, o, 55, &fh, &lh);
-  o.schedule = Schedule::WorkStealing;
+  o.engine = "work-stealing";
   factor_and_residual(n, n, o, 55, &fw, &lw);
 
   EXPECT_EQ(fs.ipiv, fd.ipiv);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "src/blas/blas.h"
 #include "src/core/cholesky.h"
@@ -93,7 +94,7 @@ struct CholCase {
   Layout layout;
   int n, b, threads;
   double dratio;
-  bool locality;
+  const char* engine = "";  // empty: the default ("hybrid")
 };
 
 class CholSweep : public ::testing::TestWithParam<CholCase> {};
@@ -108,7 +109,7 @@ TEST_P(CholSweep, ResidualBounded) {
   opt.schedule = c.sched;
   opt.dratio = c.dratio;
   opt.layout = c.layout;
-  opt.locality_tags = c.locality;
+  opt.engine = c.engine;
   opt.pin_threads = false;
   core::Factorization f = core::potrf(a, opt);
   EXPECT_LT(core::cholesky_residual(a0, a), 100.0);
@@ -117,22 +118,25 @@ TEST_P(CholSweep, ResidualBounded) {
 
 std::vector<CholCase> chol_cases() {
   std::vector<CholCase> cases;
-  for (Schedule s : {Schedule::Static, Schedule::Dynamic, Schedule::Hybrid,
-                     Schedule::WorkStealing})
+  // The three d-ratio shortcuts, plus the work-stealing engine at d = 0.2.
+  const std::pair<Schedule, const char*> scheds[] = {
+      {Schedule::Static, ""},
+      {Schedule::Dynamic, ""},
+      {Schedule::Hybrid, ""},
+      {Schedule::Hybrid, "work-stealing"}};
+  for (auto [s, engine] : scheds)
     for (Layout l : {Layout::BlockCyclic, Layout::TwoLevelBlock,
                      Layout::ColumnMajor})
-      cases.push_back({s, l, 96, 16, 4, 0.2, false});
+      cases.push_back({s, l, 96, 16, 4, 0.2, engine});
   for (int n : {17, 37, 64, 130})
-    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, n, 16, 4, 0.25,
-                     false});
+    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, n, 16, 4, 0.25});
   for (double d : {0.0, 0.5, 1.0})
-    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 16, 8, d,
-                     false});
+    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 16, 8, d});
   // Locality-tagged dynamic queues.
   cases.push_back({Schedule::Dynamic, Layout::BlockCyclic, 128, 16, 4, 1.0,
-                   true});
+                   "locality-tags"});
   cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 128, 16, 8, 0.3,
-                   true});
+                   "locality-tags"});
   return cases;
 }
 
@@ -162,7 +166,7 @@ TEST(Cholesky, DeterministicAcrossSchedules) {
   {
     Matrix a = a0;
     o.schedule = Schedule::Dynamic;
-    o.locality_tags = true;
+    o.engine = "locality-tags";
     core::potrf(a, o);
     l_loc = a;
   }
@@ -233,7 +237,7 @@ TEST(LocalityTags, CaluCorrectAndDeterministic) {
   o.schedule = Schedule::Dynamic;
   Matrix plain = a0, tagged = a0;
   core::Factorization f1 = core::getrf(plain, o);
-  o.locality_tags = true;
+  o.engine = "locality-tags";
   core::Factorization f2 = core::getrf(tagged, o);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(plain, tagged), 0.0);

@@ -3,7 +3,7 @@
 // {CALU, Cholesky, incremental pivoting}, asserted bit-identical to the
 // 1-thread hybrid reference.
 //
-// With four built-in executors (and user engines plugging in through the
+// With five built-in executors (and user engines plugging in through the
 // registry) correctness can no longer be spot-checked per engine: this
 // matrix is the contract a new engine must pass to land.  It holds
 // because the task graph carries every numerical dependency — an engine
@@ -24,7 +24,7 @@
 #include "src/layout/matrix.h"
 #include "src/layout/packed.h"
 #include "src/sched/engine_registry.h"
-#include "src/sched/thread_team.h"
+#include "src/sched/session.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -129,9 +129,9 @@ TEST_P(EngineMatrixTest, IncpivBitIdenticalAcrossEngines) {
 
   layout::PackedMatrix p_ref = layout::PackedMatrix::pack(
       a0, layout::Layout::TwoLevelBlock, b, layout::Grid{2, 2});
-  sched::ThreadTeam team_ref(1, false);
-  core::IncpivFactor f_ref =
-      core::getrf_incpiv(p_ref, matrix_options("hybrid", 1, true), team_ref);
+  sched::Session session_ref(sched::SessionOptions{1, false});
+  core::IncpivFactor f_ref = core::getrf_incpiv(
+      p_ref, matrix_options("hybrid", 1, true), session_ref);
   Matrix lu_ref(n, n);
   p_ref.unpack(lu_ref);
   Matrix x_ref = rhs0;
@@ -144,9 +144,9 @@ TEST_P(EngineMatrixTest, IncpivBitIdenticalAcrossEngines) {
                      " pack=" + std::to_string(pack));
         layout::PackedMatrix p = layout::PackedMatrix::pack(
             a0, layout::Layout::TwoLevelBlock, b, layout::Grid{2, 2});
-        sched::ThreadTeam team(t, false);
+        sched::Session session(sched::SessionOptions{t, false});
         core::IncpivFactor f =
-            core::getrf_incpiv(p, matrix_options(engine, t, pack), team);
+            core::getrf_incpiv(p, matrix_options(engine, t, pack), session);
         Matrix lu(n, n);
         p.unpack(lu);
         EXPECT_EQ(test::max_abs_diff(lu, lu_ref), 0.0);

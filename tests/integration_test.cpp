@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/calu.h"
 #include "tests/test_util.h"
@@ -18,7 +20,7 @@ using layout::Matrix;
 using layout::PackedMatrix;
 
 TEST(Integration, TeamReuseAcrossFactorizations) {
-  sched::ThreadTeam team(4, false);
+  sched::Session session(sched::SessionOptions{4, false});
   for (int round = 0; round < 5; ++round) {
     const int n = 64 + 16 * round;
     Matrix a = Matrix::random(n, n, 500 + round);
@@ -29,7 +31,7 @@ TEST(Integration, TeamReuseAcrossFactorizations) {
     o.pin_threads = false;
     PackedMatrix p =
         PackedMatrix::pack(a, o.layout, o.b, o.resolved_grid());
-    core::Factorization f = core::getrf(p, o, &team);
+    core::Factorization f = core::getrf(p, o, session);
     p.unpack(a);
     EXPECT_LT(blas::lu_residual(n, n, a0.data(), a0.ld(), a.data(), a.ld(),
                                 f.ipiv.data(),
@@ -40,18 +42,18 @@ TEST(Integration, TeamReuseAcrossFactorizations) {
 }
 
 TEST(Integration, TeamSharedBetweenLuAndCholesky) {
-  sched::ThreadTeam team(4, false);
+  sched::Session session(sched::SessionOptions{4, false});
   Options o;
   o.b = 16;
   o.threads = 4;
   o.pin_threads = false;
   Matrix a = Matrix::random(80, 80, 510);
   PackedMatrix pa = PackedMatrix::pack(a, o.layout, o.b, o.resolved_grid());
-  core::getrf(pa, o, &team);
+  core::getrf(pa, o, session);
   Matrix s = core::spd_matrix(80, 511);
   Matrix s0 = s;
   PackedMatrix ps = PackedMatrix::pack(s, o.layout, o.b, o.resolved_grid());
-  core::potrf(ps, o, &team);
+  core::potrf(ps, o, session);
   ps.unpack(s);
   EXPECT_LT(core::cholesky_residual(s0, s), 100.0);
 }
@@ -92,7 +94,7 @@ TEST(Integration, PackedAndMatrixLevelAgree) {
   Matrix a2 = a1;
   core::Factorization f1 = core::getrf(a1, o);  // Matrix-level convenience
   PackedMatrix p = PackedMatrix::pack(a2, o.layout, o.b, o.resolved_grid());
-  core::Factorization f2 = core::getrf(p, o, nullptr);
+  core::Factorization f2 = core::getrf(p, o);
   p.unpack(a2);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(a1, a2), 0.0);
@@ -116,8 +118,9 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
   o.group_factor = pick(1, 4);
   o.dratio = (rng() % 101) / 100.0;
   o.pin_threads = false;
-  o.locality_tags = rng() % 2 == 0;
-  o.schedule = static_cast<core::Schedule>(rng() % 4);
+  const std::vector<std::string> engines = sched::engine_names();
+  o.engine = engines[rng() % engines.size()];
+  o.schedule = static_cast<core::Schedule>(rng() % 3);
   o.layout = static_cast<Layout>(rng() % 3);
   Matrix a = Matrix::random(m, n, rng());
   Matrix a0 = a;
@@ -127,6 +130,7 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
       static_cast<int>(f.ipiv.size()));
   EXPECT_LT(res, 500.0) << "m=" << m << " n=" << n << " b=" << o.b
                         << " t=" << o.threads << " d=" << o.dratio
+                        << " engine=" << o.engine
                         << " sched=" << static_cast<int>(o.schedule)
                         << " lay=" << static_cast<int>(o.layout);
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
@@ -147,15 +148,19 @@ TEST(PackReuse, AllSchedulesBitIdenticalWithPacking) {
   o.pack_panels = true;
   Matrix ref_lu;
   Factorization ref = factor(192, 192, o, 123, &ref_lu);
-  for (core::Schedule s :
-       {core::Schedule::Static, core::Schedule::Dynamic,
-        core::Schedule::WorkStealing}) {
+  const std::pair<core::Schedule, const char*> cases[] = {
+      {core::Schedule::Static, "hybrid"},
+      {core::Schedule::Dynamic, "hybrid"},
+      {core::Schedule::Hybrid, "work-stealing"}};
+  for (auto [s, engine] : cases) {
     Options os = o;
     os.schedule = s;
+    os.engine = engine;
     Matrix lu;
     Factorization f = factor(192, 192, os, 123, &lu);
-    EXPECT_EQ(ref.ipiv, f.ipiv) << core::schedule_name(s);
-    EXPECT_EQ(test::max_abs_diff(ref_lu, lu), 0.0) << core::schedule_name(s);
+    EXPECT_EQ(ref.ipiv, f.ipiv) << core::schedule_name(s) << " " << engine;
+    EXPECT_EQ(test::max_abs_diff(ref_lu, lu), 0.0)
+        << core::schedule_name(s) << " " << engine;
   }
 }
 

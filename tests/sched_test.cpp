@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -12,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #ifdef __linux__
 #include <sched.h>
@@ -525,37 +528,55 @@ void check_topological(const TaskGraph& g, const ExecLog& log) {
   }
 }
 
-class ExecutorTest : public ::testing::TestWithParam<int> {};  // threads
+// The five built-in registry names (user engines registered by later
+// tests must not be invoked outside their own test).
+const char* const kBuiltinEngines[] = {"hybrid", "locality-tags",
+                                       "work-stealing", "numa-hierarchical",
+                                       "priority-lookahead"};
 
-TEST_P(ExecutorTest, OwnerQueuesRunsAllOnce) {
-  const int p = GetParam();
+sched::EngineStats run_engine(const char* name, ThreadTeam& team,
+                              const TaskGraph& g, const sched::ExecFn& exec,
+                              const sched::RunHooks& hooks = {}) {
+  return sched::make_engine(name)->run(team, g, exec, hooks);
+}
+
+// Every engine x team size on synthetic DAGs, through the registry.
+class ExecutorTest
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+ protected:
+  const char* engine() const { return std::get<0>(GetParam()); }
+  int threads() const { return std::get<1>(GetParam()); }
+
+  /// Runs `g` under the parameter engine and checks the stats contract
+  /// the one executor loop gives every engine.
+  void run(ThreadTeam& team, const TaskGraph& g, const sched::ExecFn& exec) {
+    const sched::EngineStats st = run_engine(engine(), team, g, exec);
+    EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals,
+              static_cast<std::uint64_t>(g.num_tasks()));
+    EXPECT_GE(st.steal_attempts, st.steals);
+    EXPECT_EQ(st.pinned_threads, team.pinned_count());
+    if (std::string(engine()) == "work-stealing" ||
+        std::string(engine()) == "numa-hierarchical") {
+      std::uint64_t classified = 0;
+      for (std::uint64_t n : st.steals_by_class) classified += n;
+      EXPECT_EQ(classified, st.steals);
+    }
+  }
+};
+
+TEST_P(ExecutorTest, RunsAllOnce) {
+  const int p = threads();
   ThreadTeam team(p, false);
   TaskGraph g = random_dag(500, 0.02, 99, p);
   ExecLog log(g.num_tasks());
-  auto st = sched::run_owner_queues(team, g,
-                                    [&](int id, int) { log.mark(id); });
+  run(team, g, [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.counter.load(), g.num_tasks());
-  EXPECT_EQ(st.static_pops + st.dynamic_pops,
-            static_cast<std::uint64_t>(g.num_tasks()));
-  check_topological(g, log);
-}
-
-TEST_P(ExecutorTest, WorkStealingRunsAllOnce) {
-  const int p = GetParam();
-  ThreadTeam team(p, false);
-  TaskGraph g = random_dag(500, 0.02, 100, p);
-  ExecLog log(g.num_tasks());
-  auto st = sched::run_work_stealing(team, g,
-                                     [&](int id, int) { log.mark(id); });
-  EXPECT_EQ(log.counter.load(), g.num_tasks());
-  EXPECT_EQ(st.static_pops + st.steals,
-            static_cast<std::uint64_t>(g.num_tasks()));
   check_topological(g, log);
 }
 
 TEST_P(ExecutorTest, LongChainCompletes) {
   // Serial chain: worst case for parallel executors, exercises idle paths.
-  const int p = GetParam();
+  const int p = threads();
   ThreadTeam team(p, false);
   TaskGraph g;
   const int n = 200;
@@ -567,13 +588,12 @@ TEST_P(ExecutorTest, LongChainCompletes) {
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
   g.finalize();
   ExecLog log(n);
-  sched::run_owner_queues(team, g, [&](int id, int) { log.mark(id); });
+  run(team, g, [&](int id, int) { log.mark(id); });
   for (int i = 0; i < n; ++i) EXPECT_EQ(log.order[i].load(), i);
 }
 
 TEST_P(ExecutorTest, WideFanOutFanIn) {
-  const int p = GetParam();
-  ThreadTeam team(p, false);
+  ThreadTeam team(threads(), false);
   TaskGraph g;
   const int width = 300;
   g.add_task(Task{});  // source
@@ -585,29 +605,65 @@ TEST_P(ExecutorTest, WideFanOutFanIn) {
   }
   g.finalize();
   ExecLog log(g.num_tasks());
-  sched::run_owner_queues(team, g, [&](int id, int) { log.mark(id); });
+  run(team, g, [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.order[0].load(), 0);
   EXPECT_EQ(log.order[width + 1].load(), width + 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, ExecutorTest,
-                         ::testing::Values(1, 2, 4, 8));
-
-TEST(Executor, StressManyTasksManyThreads) {
-  ThreadTeam team(8, false);
-  TaskGraph g = random_dag(5000, 0.002, 101, 8);
+TEST_P(ExecutorTest, StressManyTasks) {
+  static const TaskGraph g = random_dag(5000, 0.002, 101, 8);
+  ThreadTeam team(threads(), false);
   std::atomic<int> ran{0};
-  sched::run_owner_queues(team, g, [&](int, int) { ran.fetch_add(1); });
+  run(team, g, [&](int, int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 5000);
 }
 
-TEST(Executor, EmptyGraph) {
-  ThreadTeam team(4, false);
+TEST_P(ExecutorTest, EmptyGraph) {
+  ThreadTeam team(threads(), false);
   TaskGraph g;
   g.finalize();
-  auto st = sched::run_owner_queues(team, g, [&](int, int) { FAIL(); });
-  EXPECT_EQ(st.static_pops + st.dynamic_pops, 0u);
+  run(team, g, [&](int, int) { FAIL(); });
 }
+
+std::string engine_threads_name(
+    const ::testing::TestParamInfo<ExecutorTest::ParamType>& info) {
+  std::string name = std::get<0>(info.param);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name + "_" + std::to_string(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesByThreads, ExecutorTest,
+    ::testing::Combine(::testing::ValuesIn(kBuiltinEngines),
+                       ::testing::Values(1, 2, 4, 8)),
+    engine_threads_name);
+
+/// A reusable barrier for `n` threads: a mutex plus a condition variable
+/// with a round counter, so a thread leaving round r cannot be counted
+/// toward round r + 1 before everyone has left.
+class RoundBarrier {
+ public:
+  explicit RoundBarrier(int n) : n_(n) {}
+
+  void arrive_and_wait() {
+    std::unique_lock lk(mu_);
+    const std::uint64_t round = round_;
+    if (++arrived_ == n_) {
+      arrived_ = 0;
+      ++round_;
+      cv_.notify_all();
+      return;
+    }
+    cv_.wait(lk, [&] { return round_ != round; });
+  }
+
+ private:
+  const int n_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;         // guarded by mu_
+  std::uint64_t round_ = 0;  // guarded by mu_
+};
 
 TEST(Executor, StaticTasksServedByTheirOwner) {
   // With all tasks owned and no dependencies, every task must be executed
@@ -625,8 +681,8 @@ TEST(Executor, StaticTasksServedByTheirOwner) {
   }
   g.finalize();
   std::vector<std::atomic<int>> ran_by(n);
-  sched::run_owner_queues(team, g,
-                          [&](int id, int tid) { ran_by[id].store(tid); });
+  run_engine("hybrid", team, g,
+             [&](int id, int tid) { ran_by[id].store(tid); });
   for (int i = 0; i < n; ++i) EXPECT_EQ(ran_by[i].load(), i % p);
 }
 
@@ -637,7 +693,7 @@ TEST(Executor, DynamicTasksCanRunAnywhere) {
   g.finalize();
   std::set<int> tids;
   std::mutex mu;
-  sched::run_owner_queues(team, g, [&](int, int tid) {
+  run_engine("hybrid", team, g, [&](int, int tid) {
     noise::burn(1e-5);
     std::lock_guard lk(mu);
     tids.insert(tid);
@@ -657,8 +713,7 @@ TEST(Executor, GlobalQueueFollowsPriorityOrder) {
   }
   g.finalize();
   std::vector<int> order;
-  sched::run_owner_queues(team, g,
-                          [&](int id, int) { order.push_back(id); });
+  run_engine("hybrid", team, g, [&](int id, int) { order.push_back(id); });
   for (int i = 0; i + 1 < n; ++i)
     EXPECT_GT(g.task(order[i]).priority, 0u);
   // Reversed priorities => tasks pop in reverse id order.
@@ -666,9 +721,11 @@ TEST(Executor, GlobalQueueFollowsPriorityOrder) {
 }
 
 TEST(Executor, LocalityTagsServeOwnBucketFirst) {
-  // All-dynamic tasks tagged per thread; with locality_tags on and no
-  // dependencies, each thread must drain its own tag's bucket (tasks are
-  // plentiful, so no thread needs to poach).
+  // All-dynamic tasks tagged per thread, no dependencies.  Every body
+  // waits at a p-thread barrier, so the team advances one task per thread
+  // per round whether or not its threads run at the same time: no bucket
+  // empties before the others, and each thread drains exactly its own
+  // tag's bucket.
   const int p = 4;
   ThreadTeam team(p, false);
   TaskGraph g;
@@ -681,21 +738,15 @@ TEST(Executor, LocalityTagsServeOwnBucketFirst) {
   }
   g.finalize();
   std::vector<std::atomic<int>> ran_by(n);
-  sched::RunHooks hooks;
-  hooks.locality_tags = true;
-  sched::run_owner_queues(
-      team, g,
-      [&](int id, int tid) {
-        noise::burn(2e-5);  // keep every thread busy long enough
-        ran_by[id].store(tid);
-      },
-      hooks);
+  RoundBarrier barrier(p);
+  run_engine("locality-tags", team, g, [&](int id, int tid) {
+    ran_by[id].store(tid);
+    barrier.arrive_and_wait();
+  });
   int matches = 0;
   for (int i = 0; i < n; ++i)
     if (ran_by[i].load() == g.task(i).tag) ++matches;
-  // The vast majority should run on their tag's thread (poaching only at
-  // the very end of a bucket).
-  EXPECT_GT(matches, n * 3 / 4);
+  EXPECT_EQ(matches, n);
 }
 
 TEST(Executor, LocalityTagsCompleteWithSkewedTags) {
@@ -710,10 +761,7 @@ TEST(Executor, LocalityTagsCompleteWithSkewedTags) {
   }
   g.finalize();
   std::atomic<int> ran{0};
-  sched::RunHooks hooks;
-  hooks.locality_tags = true;
-  sched::run_owner_queues(team, g, [&](int, int) { ran.fetch_add(1); },
-                          hooks);
+  run_engine("locality-tags", team, g, [&](int, int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 200);
 }
 
@@ -723,25 +771,21 @@ TEST(Executor, UntaggedTasksStillRunUnderLocalityPolicy) {
   for (int i = 0; i < 100; ++i) g.add_task(Task{});  // tag = -1
   g.finalize();
   std::atomic<int> ran{0};
-  sched::RunHooks hooks;
-  hooks.locality_tags = true;
-  sched::run_owner_queues(team, g, [&](int, int) { ran.fetch_add(1); },
-                          hooks);
+  run_engine("locality-tags", team, g, [&](int, int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 100);
 }
 
 // ---------------------------------------------- engine registry / interface
 
 TEST(EngineRegistry, BuiltinsAreRegistered) {
-  for (const char* name : {"hybrid", "locality-tags", "work-stealing",
-                           "priority-lookahead"}) {
+  for (const char* name : kBuiltinEngines) {
     EXPECT_TRUE(sched::engine_registered(name)) << name;
     auto eng = sched::make_engine(name);
     ASSERT_NE(eng, nullptr) << name;
     EXPECT_EQ(eng->name(), name);
   }
   const auto names = sched::engine_names();
-  EXPECT_GE(names.size(), 4u);
+  EXPECT_GE(names.size(), 5u);
 }
 
 TEST(EngineRegistry, NamesAreSortedAndStable) {
@@ -778,8 +822,7 @@ TEST(EngineRegistry, DuplicateRegistrationRejected) {
 }
 
 TEST(EngineRegistry, BuiltinsCannotBeReplaced) {
-  for (const char* name : {"hybrid", "locality-tags", "work-stealing",
-                           "priority-lookahead"}) {
+  for (const char* name : kBuiltinEngines) {
     EXPECT_FALSE(sched::register_engine(
         name, [] { return std::unique_ptr<sched::Engine>(); }))
         << name;
@@ -895,29 +938,6 @@ TEST(EngineRegistry, EveryEngineRunsDiamondInDependencyOrder) {
   }
 }
 
-// The three built-in engines through the Engine interface on a random DAG:
-// every task exactly once, edges respected, counters add up.
-class EngineInterfaceTest : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(EngineInterfaceTest, RunsRandomDagExactlyOnce) {
-  auto eng = sched::make_engine(GetParam());
-  ASSERT_NE(eng, nullptr);
-  const int p = 4;
-  ThreadTeam team(p, false);
-  TaskGraph g = random_dag(800, 0.01, 7, p);
-  ExecLog log(g.num_tasks());
-  auto st = eng->run(team, g, [&](int id, int) { log.mark(id); });
-  EXPECT_EQ(log.counter.load(), g.num_tasks());
-  EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals,
-            static_cast<std::uint64_t>(g.num_tasks()));
-  check_topological(g, log);
-}
-
-INSTANTIATE_TEST_SUITE_P(Engines, EngineInterfaceTest,
-                         ::testing::Values("hybrid", "locality-tags",
-                                           "work-stealing",
-                                           "priority-lookahead"));
-
 // The priority-lookahead engine's defining behavior: panel-column tasks
 // within the look-ahead window are promoted (counted in EngineStats) and
 // generic/off-panel tasks are not.
@@ -1010,7 +1030,7 @@ TEST(SessionFused, AppendedGraphRunsInDependencyOrder) {
   fused.finalize();
   ThreadTeam team(4, false);
   ExecLog log(fused.num_tasks());
-  sched::run_owner_queues(team, fused, [&](int id, int) { log.mark(id); });
+  run_engine("hybrid", team, fused, [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.counter.load(), 8);
   check_topological(fused, log);
 }
@@ -1020,11 +1040,10 @@ TEST(SessionFused, AppendedGraphRunsInDependencyOrder) {
 // account for every task, completion callbacks fire exactly once, and the
 // whole fusion is one session run.
 TEST(SessionFused, EveryEngineRunsAllJobsExactlyOnce) {
-  // The explicit builtin list (like EngineInterfaceTest), not
-  // engine_names(): earlier registry tests register probe engines whose
-  // factories must not be re-invoked outside their own test.
-  for (const std::string name : {"hybrid", "locality-tags", "work-stealing",
-                                 "priority-lookahead"}) {
+  // The explicit builtin list, not engine_names(): earlier registry tests
+  // register probe engines whose factories must not be re-invoked
+  // outside their own test.
+  for (const std::string name : kBuiltinEngines) {
     SCOPED_TRACE(name);
     const int p = 4;
     sched::Session session(sched::SessionOptions{p, false});
@@ -1169,7 +1188,7 @@ TEST(Executor, HooksReceiveNoiseAndTrace) {
   sched::RunHooks hooks;
   hooks.recorder = &rec;
   hooks.injector = &inj;
-  sched::run_owner_queues(team, g, [](int, int) {}, hooks);
+  run_engine("hybrid", team, g, [](int, int) {}, hooks);
   EXPECT_GT(inj.delta_max(), 0.0);
   int events = 0;
   for (int t = 0; t < rec.threads(); ++t)

@@ -255,7 +255,7 @@ sched::TaskGraph fork_join_graph(int width) {
   const int sink = g.add_task(sched::Task{});
   for (int i = 0; i < width; ++i) {
     sched::Task t;
-    t.owner = i;  // exercise the owner-first root seeding path
+    t.owner = i;  // owner hints the Chase-Lev policy must ignore
     const int id = g.add_task(t);
     g.add_edge(root, id);
     g.add_edge(id, sink);
@@ -410,7 +410,7 @@ TEST(FirstTouchPack, FactorizationMatchesSerialPack) {
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a_serial, opt.layout, opt.b,
                                  opt.resolved_grid());
-  core::Factorization ref = core::getrf(p, opt, nullptr);
+  core::Factorization ref = core::getrf(p, opt);
   p.unpack(a_serial);
 
   core::Factorization f = core::getrf(a, opt);

@@ -75,9 +75,10 @@ TEST(TuneSeeding, CandidatesOrderedByPredictedCostAndDeterministic) {
     EXPECT_DOUBLE_EQ(cands[i].predicted,
                      tune::predicted_cost(key, cands[i], sp))
         << "candidate " << i;
-    if (i > 0)
+    if (i > 0) {
       EXPECT_GE(cands[i].predicted, cands[i - 1].predicted)
           << "candidate " << i;
+    }
   }
   // Deterministic: a second seeding reproduces the sequence bit-for-bit.
   const std::vector<Decision> again = tune::seed_candidates(key, sp);
