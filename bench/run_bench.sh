@@ -61,13 +61,9 @@ with open(kernels_path, "w") as fh:
 EOF
 
 # TuneMode::Auto vs the best hand-tuned d-ratio point, spliced in as the
-# "tuning" section.  The profile lives in the build dir and is wiped
-# first so every bench run records a fresh calibration (the committed
-# auto_vs_best must not be a stale-profile artifact).
+# "tuning" section.
 tune_tmp="$build/BENCH_tuning.json"
-rm -f "$build/calu_tune_profile.json"
-CALU_BENCH_REPS="${CALU_BENCH_REPS:-3}" \
-  CALU_TUNE_PROFILE="$build/calu_tune_profile.json" "$build/tune_sweep" \
+CALU_BENCH_REPS="${CALU_BENCH_REPS:-3}" "$build/tune_sweep" \
   --json="$tune_tmp"
 python3 - "$out" "$tune_tmp" <<'EOF'
 import json, sys

@@ -7,13 +7,13 @@
 // (the paper's d-ratio grid at default_b(n), hybrid schedule mapping) and
 // keeps its fastest point, then times the same factorization under
 // TuneMode::Auto — model-seeded candidates calibrated through the real
-// measure function, decision persisted at $CALU_TUNE_PROFILE.  The
-// "auto_vs_best" ratio (auto seconds / best hand seconds) is the
-// ROADMAP-item-5 acceptance number: ~1.0 means the tuner found the hand
-// point (or better) without anyone sweeping knobs by hand.  Calibration
-// cost is reported separately (it is a once-per-machine price, not a
-// per-factorization one).  bench/run_bench.sh splices the emitted object
-// into BENCH_kernels.json as its top-level "tuning" section.
+// measure function.  The "auto_vs_best" ratio (auto seconds / best hand
+// seconds) is the ROADMAP-item-5 acceptance number: ~1.0 means the tuner
+// found the hand point (or better) without anyone sweeping knobs by
+// hand.  Calibration cost is reported separately (each process pays it
+// once per size, not per factorization).  bench/run_bench.sh splices
+// the emitted object into BENCH_kernels.json as its top-level "tuning"
+// section.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,8 +48,6 @@ int run(const char* path, int threads, int nreps) {
   std::fprintf(f, "{\n  \"bench\": \"tune_sweep\",\n");
   std::fprintf(f, "  \"dispatched\": \"%s\",\n", blas::active_kernel().name);
   std::fprintf(f, "  \"threads\": %d, \"reps\": %d,\n", threads, nreps);
-  std::fprintf(f, "  \"profile\": \"%s\",\n",
-               tune::default_profile_path().c_str());
   std::fprintf(f, "  \"sweep\": [\n");
   std::printf("%-8s %-14s %-12s %-24s %-12s %s\n", "n", "hand-best",
               "hand-s", "auto {d,b,engine}", "auto-s", "auto/best");

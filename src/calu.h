@@ -35,4 +35,3 @@
 #include "src/trace/timeline.h"
 #include "src/trace/trace.h"
 #include "src/tune/autotuner.h"
-#include "src/tune/profile.h"

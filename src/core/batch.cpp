@@ -91,7 +91,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // whichever job asked for the other (the make_engine_or_default "warn
   // and degrade" move is wrong here).  Reject loudly instead.  Tuned
   // jobs with no explicit ask are the exception: different sizes may
-  // carry different profile engines, and the caller's intent ("whatever
+  // carry different tuned engines, and the caller's intent ("whatever
   // is fastest") is served by adopting the lead job's resolution, not by
   // a throw the caller cannot predict.
   const std::string engine = jobs[0].options.resolved_engine();

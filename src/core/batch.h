@@ -58,7 +58,7 @@ namespace calu::core {
 struct BatchJob {
   layout::Matrix* a = nullptr;
   const layout::Matrix* rhs = nullptr;
-  /// Per-job knobs.  Under TuneMode::Auto/Force the fused path
+  /// Per-job knobs.  Under TuneMode::Auto the fused path
   /// materializes the tuned resolution into this field (tune key, tile
   /// size, and — for jobs with no explicit engine ask — the fused run's
   /// engine), so on return it records what actually ran.

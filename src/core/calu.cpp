@@ -359,7 +359,6 @@ const char* tune_mode_name(TuneMode m) {
   switch (m) {
     case TuneMode::Off: return "off";
     case TuneMode::Auto: return "auto";
-    case TuneMode::Force: return "force";
   }
   return "?";
 }
@@ -480,7 +479,7 @@ struct GetrfJob::Impl {
 GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt_in) {
   assert(a.tiling().b == opt_in.b);
   // Tune key from the packed shape, so a job constructed directly (the
-  // batch layer, the service) resolves the same profile entry as the
+  // batch layer, the service) resolves the same tuning decision as the
   // Matrix-level drivers.  The tile size is already fixed by the
   // caller's packing; only dratio/engine/lookahead can still be tuned.
   const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);

@@ -59,13 +59,11 @@ const char* priority_class_name(PriorityClass c);
 
 /// Autotuning policy for the {dratio, b, engine, lookahead_depth} knobs
 /// (ROADMAP item 5; src/tune/autotuner.h).  Off uses the fields as set.
-/// Auto consults the per-host tuning profile through the resolved_*()
-/// accessors — a profile miss triggers a one-time model-seeded
-/// calibration for the (n, threads, kernel, topology) key, persisted
-/// thereafter.  Force recalibrates the key (once per process) even when
-/// a profile entry exists, e.g. after a hardware or load-environment
-/// change the key cannot see.
-enum class TuneMode : std::uint8_t { Off, Auto, Force };
+/// Auto resolves them through the process-wide tuner in the resolved_*()
+/// accessors: the first resolve of an (n, threads, kernel, topology) key
+/// in a process runs a model-seeded calibration, later ones reuse its
+/// decision.  Nothing is persisted, so each process calibrates anew.
+enum class TuneMode : std::uint8_t { Off, Auto };
 
 const char* tune_mode_name(TuneMode m);
 
@@ -95,7 +93,7 @@ struct Options {
   /// Executor registry name ("hybrid", "locality-tags", "work-stealing",
   /// "numa-hierarchical", "priority-lookahead", or any engine registered
   /// via sched::register_engine) — the only engine selector.  Empty =
-  /// the tuned engine under Auto/Force, else "hybrid"; see
+  /// the tuned engine under Auto, else "hybrid"; see
   /// resolved_engine().
   std::string engine;
   /// "priority-lookahead" window: panel-column tasks within this many
@@ -114,30 +112,30 @@ struct Options {
   /// async sched::Service maps its two request classes onto this.
   PriorityClass priority_class = PriorityClass::Interactive;
   /// Autotuning of {dratio, b, engine, lookahead_depth}: Off uses the
-  /// fields above verbatim; Auto/Force resolve them from the per-host
-  /// tuning profile (explicitly-set `engine` and Static/Dynamic
-  /// `schedule` still win — tuning never overrides an explicit ask).
+  /// fields above verbatim; Auto resolves them through the process's
+  /// autotuner (explicitly-set `engine` and Static/Dynamic `schedule`
+  /// still win — tuning never overrides an explicit ask).
   TuneMode tune = TuneMode::Off;
   /// Problem-size key for the tuner (min(m, n)).  The factorization
   /// drivers stamp it from the matrix when left 0, so callers never set
-  /// it; pre-setting is only useful to warm a profile entry up front.
+  /// it; pre-setting is only useful to calibrate a key up front.
   int tune_n = 0;
 
   int resolved_threads() const;
   layout::Grid resolved_grid() const;
   /// `dratio` clamped to [0, 1] (out-of-range values warn once per
   /// process), with Schedule::Static/Dynamic pinning 0/1 and
-  /// TuneMode::Auto/Force substituting the tuned fraction.
+  /// TuneMode::Auto substituting the tuned fraction.
   double resolved_dratio() const;
   /// Tile size actually used by the Matrix-level drivers: `b`, or the
-  /// tuned tile size under Auto/Force once tune_n is known.  The
+  /// tuned tile size under Auto once tune_n is known.  The
   /// PackedMatrix-level entry points keep the caller's packing (a packed
   /// matrix's b cannot be re-chosen after the fact).
   int resolved_b() const;
   /// The registry key actually used: `engine` when set, else the tuned
-  /// engine under Auto/Force, else "hybrid".
+  /// engine under Auto, else "hybrid".
   std::string resolved_engine() const;
-  /// `lookahead_depth`, or the tuned window under Auto/Force.
+  /// `lookahead_depth`, or the tuned window under Auto.
   int resolved_lookahead() const;
 };
 
@@ -239,7 +237,7 @@ Factorization getrf(layout::Matrix& a, const Options& opt,
 /// single helper every driver (CALU, Cholesky, the batch layer) runs its
 /// Options through before consulting the resolved_*() accessors, so one
 /// factorization's dratio, b, engine, and lookahead all come from the
-/// same profile entry.
+/// same tuning decision.
 Options with_tune_key(const Options& opt, int m, int n);
 
 /// Engine RunHooks from Options — the single source for the Options →

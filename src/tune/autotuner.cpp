@@ -145,107 +145,30 @@ std::vector<Decision> seed_candidates(const Key& key, const SeedParams& sp) {
   return out;
 }
 
-Autotuner::Autotuner(std::shared_ptr<ProfileStore> store, MeasureFn measure,
-                     TunerConfig cfg)
-    : store_(std::move(store)), measure_(std::move(measure)),
-      cfg_(std::move(cfg)), last_seed_(cfg_.seed) {}
+Autotuner::Autotuner(MeasureFn measure) : measure_(std::move(measure)) {}
 
-void Autotuner::ensure_loaded_locked() {
-  if (load_attempted_) return;
-  load_attempted_ = true;
-  std::string text;
-  if (store_ == nullptr || !store_->load(text)) return;  // nothing stored
-  Profile loaded;
-  switch (parse_profile(text, loaded)) {
-    case LoadStatus::Ok:
-      profile_ = std::move(loaded);
-      return;
-    case LoadStatus::Missing:
-      return;
-    case LoadStatus::Corrupt:
-      recovered_corrupt_ = true;
-      if (!warned_corrupt_) {
-        warned_corrupt_ = true;
-        std::fprintf(stderr,
-                     "calu::tune: profile at %s is corrupt or from an "
-                     "unknown schema version; regenerating\n",
-                     store_->describe().c_str());
-      }
-      return;  // profile_ stays empty; next save overwrites the wreck
+Decision Autotuner::resolve(const Key& key) {
+  std::lock_guard lk(mu_);
+  const std::string id = key.str();
+  if (auto it = decisions_.find(id); it != decisions_.end()) {
+    ++hits_;
+    return it->second;
   }
-}
-
-Decision Autotuner::calibrate_locked(const Key& key) {
-  SeedParams sp = cfg_.seed;
-  std::vector<Decision> cands = seed_candidates(key, sp);
-  if (measure_ && cfg_.spread_probe_reps > 1 && !cands.empty()) {
-    // Live noise probe: repeated runs of the model's first pick; the
-    // relative spread of their costs is the (δmax − δavg)/Tp input the
-    // Theorem-1 bound wants, replacing the configured guess.
-    double sum = 0.0, mx = 0.0;
-    for (int r = 0; r < cfg_.spread_probe_reps; ++r) {
-      const double c = measure_(key, cands.front());
-      sum += c;
-      mx = std::max(mx, c);
-    }
-    const double avg = sum / cfg_.spread_probe_reps;
-    if (avg > 0.0) {
-      sp.spread_frac = std::clamp((mx - avg) / avg, 0.0, 1.0);
-      cands = seed_candidates(key, sp);
-    }
-  }
-  last_seed_ = sp;
-
+  const std::vector<Decision> cands = seed_candidates(key, SeedParams{});
   Decision best = cands.front();  // grids are never empty by construction
   if (measure_) {
-    const int k =
-        std::min<int>(std::max(1, cfg_.top_k), static_cast<int>(cands.size()));
-    double best_cost = 0.0;
+    const int k = std::min<int>(kTopK, static_cast<int>(cands.size()));
     for (int i = 0; i < k; ++i) {
       const double cost = measure_(key, cands[i]);
-      if (i == 0 || cost < best_cost) {
-        best_cost = cost;
+      if (i == 0 || cost < best.measured) {
         best = cands[i];
         best.measured = cost;
       }
     }
     ++calibrations_;
   }
+  decisions_.emplace(id, best);
   return best;
-}
-
-Decision Autotuner::resolve(const Key& key, bool force) {
-  std::lock_guard lk(mu_);
-  ensure_loaded_locked();
-  const std::string k = key.str();
-  const bool force_now = force && forced_done_.insert(k).second;
-  if (!force_now) {
-    auto it = profile_.entries.find(k);
-    if (it != profile_.entries.end()) {
-      ++hits_;
-      return it->second;
-    }
-  }
-
-  Decision best = calibrate_locked(key);
-  if (profile_.host.empty()) profile_.host = key.topology;
-  profile_.entries[k] = best;
-  if (store_ != nullptr && !store_->save(serialize_profile(profile_))) {
-    persist_failed_ = true;
-    if (!warned_unwritable_) {
-      warned_unwritable_ = true;
-      std::fprintf(stderr,
-                   "calu::tune: profile at %s is unwritable; tuning "
-                   "decisions are cached in memory for this process only\n",
-                   store_->describe().c_str());
-    }
-  }
-  return best;
-}
-
-std::vector<Decision> Autotuner::candidates(const Key& key) const {
-  std::lock_guard lk(mu_);
-  return seed_candidates(key, cfg_.seed);
 }
 
 void Autotuner::set_measure(MeasureFn measure) {
@@ -258,29 +181,9 @@ int Autotuner::calibrations() const {
   return calibrations_;
 }
 
-int Autotuner::profile_hits() const {
+int Autotuner::memo_hits() const {
   std::lock_guard lk(mu_);
   return hits_;
-}
-
-bool Autotuner::recovered_corrupt() const {
-  std::lock_guard lk(mu_);
-  return recovered_corrupt_;
-}
-
-bool Autotuner::persist_failed() const {
-  std::lock_guard lk(mu_);
-  return persist_failed_;
-}
-
-SeedParams Autotuner::last_seed() const {
-  std::lock_guard lk(mu_);
-  return last_seed_;
-}
-
-Profile Autotuner::snapshot() const {
-  std::lock_guard lk(mu_);
-  return profile_;
 }
 
 MeasureFn real_measure(int reps) {
@@ -312,10 +215,8 @@ MeasureFn real_measure(int reps) {
 Autotuner& global_autotuner() {
   // Leaked on purpose: Options::resolved_*() may run during static
   // teardown of user code, and a destructed tuner there is a crash for
-  // zero benefit (the profile is saved after every calibration).
-  static Autotuner* tuner = new Autotuner(
-      std::make_shared<FileProfileStore>(default_profile_path()),
-      real_measure(), TunerConfig{});
+  // zero benefit.
+  static Autotuner* tuner = new Autotuner(real_measure());
   return *tuner;
 }
 
@@ -325,7 +226,7 @@ Decision decision_for(const core::Options& opt) {
   key.threads = opt.resolved_threads();
   key.kernel = blas::active_kernel().name;
   key.topology = sched::system_topology().summary();
-  return global_autotuner().resolve(key, opt.tune == core::TuneMode::Force);
+  return global_autotuner().resolve(key);
 }
 
 }  // namespace calu::tune

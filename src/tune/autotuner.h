@@ -10,29 +10,27 @@
 //                   candidate grid (dratio from min_dynamic_fraction, b
 //                   from the task-granularity trade, engine from the
 //                   topology shape);
-//   calibrate   ->  the top-ranked candidates are measured through an
-//                   injectable MeasureFn (production: one real small
+//   calibrate   ->  the kTopK best-ranked candidates are measured through
+//                   an injectable MeasureFn (production: one real small
 //                   factorization per candidate; tests: synthetic costs,
 //                   zero wall clock);
-//   persist     ->  the winner lands in a versioned per-host JSON profile
-//                   (ProfileStore seam; $CALU_TUNE_PROFILE), so the
-//                   calibration price is paid once per machine.
+//   remember    ->  the winner is kept in memory for the life of the
+//                   process.  Nothing is written to disk, so each process
+//                   pays for the calibration of every key it resolves
+//                   (README.md lists the cost per n).
 //
 // Consumers never talk to this header directly: core::Options grows
-// `tune = TuneMode::{Off,Auto,Force}` and its resolved_dratio() /
+// `tune = TuneMode::{Off,Auto}` and its resolved_dratio() /
 // resolved_b() / resolved_engine() / resolved_lookahead() consult
 // decision_for(), so Session, Service, and batched_run inherit tuned
 // choices with zero call-site changes.
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
-
-#include "src/tune/profile.h"
 
 namespace calu::core {
 struct Options;  // calu.h; bridged by decision_for() without a cycle
@@ -41,16 +39,15 @@ struct Options;  // calu.h; bridged by decision_for() without a cycle
 namespace calu::tune {
 
 /// What a tuning decision is keyed by: any change to one of these fields
-/// invalidates nothing but its own bucket — a rebuilt container with a
-/// different SIMD variant or cpuset recalibrates, entries for the old
-/// shape stay (the machine may come back).
+/// invalidates nothing but its own bucket — a different team size or
+/// SIMD variant recalibrates, decisions for other keys stay.
 struct Key {
   int n = 0;         ///< problem size (min(m, n)); 0 = size-agnostic
   int threads = 1;   ///< team size the decision applies to
   std::string kernel;    ///< dispatched micro-kernel variant name
   std::string topology;  ///< sched::Topology::summary() shape string
 
-  /// Stable serialization used as the profile map key.
+  /// Stable serialization used as the decision map key.
   std::string str() const;
 };
 
@@ -59,9 +56,7 @@ struct Key {
 struct SeedParams {
   /// (δmax − δavg) / (T1/p): the measured noise spread that Theorem 1
   /// turns into a minimum dynamic fraction.  The default models the few
-  /// percent of transient OS load the paper's Section 1 motivates with;
-  /// calibration can overwrite it with a live probe (see
-  /// TunerConfig::spread_probe_reps).
+  /// percent of transient OS load the paper's Section 1 motivates with.
   double spread_frac = 0.05;
   /// Section-6 Toverhead: dequeue + dependency bookkeeping per task.
   double task_overhead_flops = 5.0e4;
@@ -71,6 +66,19 @@ struct SeedParams {
   /// Scale on the Section-6 TcriticalPath term (model::lu_cost's
   /// calu_critical_path_flops); 0 drops the term.
   double critical_path_frac = 1.0;
+};
+
+/// One resolved knob set for a tuning key.  `measured` is the calibration
+/// cost that won (seconds under the real measure function, arbitrary
+/// units under an injected one); < 0 means the decision was model-seeded
+/// only and never measured.
+struct Decision {
+  double dratio = 0.10;
+  int b = 100;
+  std::string engine = "hybrid";
+  int lookahead_depth = 4;
+  double predicted = 0.0;  ///< model score used for candidate ordering
+  double measured = -1.0;
 };
 
 /// Candidate cost under the model (arbitrary flop-denominated units;
@@ -89,79 +97,50 @@ std::vector<Decision> seed_candidates(const Key& key, const SeedParams& sp);
 /// inject synthetic costs so every decision path is deterministic.
 using MeasureFn = std::function<double(const Key&, const Decision&)>;
 
-struct TunerConfig {
-  SeedParams seed;
-  /// Candidates measured per calibration (top-k by predicted cost).
-  int top_k = 4;
-  /// > 1: measure the model's first pick this many times before seeding
-  /// and feed the observed relative spread (max − avg) / avg into
-  /// SeedParams::spread_frac — the "measured noise spread" input of the
-  /// Theorem-1 bound.  0/1 keeps the configured spread_frac.
-  int spread_probe_reps = 0;
-};
+/// Candidates measured per calibration: the model's top kTopK.
+inline constexpr int kTopK = 4;
 
 /// The tuner.  Thread-safe: resolve() serializes on an internal mutex
 /// (concurrent callers of the same key wait for one calibration instead
-/// of racing N).  Never throws on storage problems — a corrupt profile
-/// is regenerated (one warning), an unwritable one degrades to
-/// in-memory caching (one warning).
+/// of racing N).
 class Autotuner {
  public:
-  Autotuner(std::shared_ptr<ProfileStore> store, MeasureFn measure,
-            TunerConfig cfg = {});
+  explicit Autotuner(MeasureFn measure);
 
-  /// The decision for `key`: profile hit when present, otherwise model
-  /// seed -> calibrate -> persist.  `force` recalibrates even on a hit
-  /// (once per key per process) — TuneMode::Force.
-  Decision resolve(const Key& key, bool force = false);
-
-  /// Model-seeded candidates under this tuner's configured SeedParams.
-  std::vector<Decision> candidates(const Key& key) const;
+  /// The decision for `key`: the remembered one when this tuner has
+  /// resolved the key before, otherwise model seed -> measure the top
+  /// kTopK -> remember the cheapest.  With no measure function the
+  /// model's first pick is remembered unmeasured.
+  Decision resolve(const Key& key);
 
   /// Swaps the measure function (test seam for the global tuner; also
   /// how the bench lane runs the real calibration with custom reps).
   void set_measure(MeasureFn measure);
 
   /// Introspection for tests and bench reporting.
-  int calibrations() const;   ///< measure-based resolutions so far
-  int profile_hits() const;   ///< resolutions served from the profile
-  bool recovered_corrupt() const;  ///< a corrupt document was regenerated
-  bool persist_failed() const;     ///< a save was refused by the store
-  SeedParams last_seed() const;    ///< params the last calibration used
-  Profile snapshot() const;        ///< copy of the in-memory profile
+  int calibrations() const;  ///< measure-based resolutions so far
+  int memo_hits() const;     ///< resolutions served from memory
 
  private:
-  void ensure_loaded_locked();
-  Decision calibrate_locked(const Key& key);
-
   mutable std::mutex mu_;
-  std::shared_ptr<ProfileStore> store_;
   MeasureFn measure_;
-  TunerConfig cfg_;
-  Profile profile_;
-  bool load_attempted_ = false;
-  bool warned_corrupt_ = false;
-  bool warned_unwritable_ = false;
-  std::set<std::string> forced_done_;
+  std::map<std::string, Decision> decisions_;  ///< by Key::str()
   int calibrations_ = 0;
   int hits_ = 0;
-  bool recovered_corrupt_ = false;
-  bool persist_failed_ = false;
-  SeedParams last_seed_;
 };
 
-/// Process-wide tuner: FileProfileStore at default_profile_path() and the
-/// real (wall-clock) measure function.  Constructed lazily on first use;
-/// never destroyed (resolutions may happen during static teardown).
+/// Process-wide tuner with the real (wall-clock) measure function.
+/// Constructed lazily on first use; never destroyed (resolutions may
+/// happen during static teardown).
 Autotuner& global_autotuner();
 
 /// The production MeasureFn: factors one random n×n matrix (n from the
 /// key, capped for sanity) under the candidate's knobs with tune = Off
 /// and returns factor_seconds.  Exposed so the bench lane can rebuild
-/// the global recipe with its own reps/profile path.
+/// the global recipe with its own reps.
 MeasureFn real_measure(int reps = 1);
 
-/// Bridges core::Options (TuneMode::Auto/Force) to the global tuner:
+/// Bridges core::Options (TuneMode::Auto) to the global tuner:
 /// builds the Key from {tune_n, resolved_threads, active kernel variant,
 /// system topology} and resolves it.  Called by the resolved_*()
 /// accessors in core/calu.cpp.
