@@ -1,8 +1,10 @@
 #include "src/core/batch.h"
 
-#include <cassert>
 #include <chrono>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -26,6 +28,52 @@ void finish_stats(BatchStats& st, const sched::Session& session,
       st.seconds > 0.0 ? static_cast<double>(njobs) / st.seconds : 0.0;
 }
 
+/// Rejects a malformed job set before any job is packed or run, so a bad
+/// job can neither crash a team thread nor leave other jobs half done.
+void validate(const std::vector<BatchJob>& jobs) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const BatchJob& job = jobs[i];
+    const char* why = nullptr;
+    if (job.a == nullptr)
+      why = "null matrix";
+    else if (job.rhs != nullptr && job.a->rows() != job.a->cols())
+      why = "a solve job needs a square matrix";
+    else if (job.rhs != nullptr && job.rhs->rows() != job.a->rows())
+      why = "rhs row count differs from the matrix's";
+    else if (job.options.b < 1)
+      why = "tile size b < 1";
+    if (why != nullptr)
+      throw std::invalid_argument("batched_run: job " + std::to_string(i) +
+                                  ": " + why);
+  }
+}
+
+/// Moves a solve's outcome into the job's result.
+void take(BatchJobResult& out, SolveResult&& sr) {
+  out.factorization = std::move(sr.factorization);
+  out.x = std::move(sr.x);
+  out.refine_steps = sr.refine_steps;
+  out.residual = sr.residual;
+  out.used_fallback = sr.used_fallback;
+}
+
+/// fn(job) for every job index across the team.  A throw must not escape
+/// a team thread: the first one is kept and rethrown here, on the caller.
+void for_each_job(sched::ThreadTeam& team, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  std::exception_ptr first;
+  std::mutex mu;
+  team.parallel_for(static_cast<int>(n), [&](int i) {
+    try {
+      fn(static_cast<std::size_t>(i));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!first) first = std::current_exception();
+    }
+  });
+  if (first) std::rethrow_exception(first);
+}
+
 /// Sequential mode: one engine run per job, submission order — exactly
 /// the per-job getrf/gesv drivers back-to-back on the session.
 BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
@@ -37,21 +85,14 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     BatchJob& job = jobs[i];
-    assert(job.a != nullptr);
     BatchJobResult& out = res.jobs[i];
     if (job.rhs != nullptr) {
       // Float32 solve jobs get the full mixed-precision treatment
       // (refinement to double accuracy + fallback), exactly as if the
       // caller had invoked gesv_mixed directly.
-      SolveResult sr =
-          job.options.precision == Precision::Float32
-              ? gesv_mixed(*job.a, *job.rhs, job.options, session)
-              : gesv(*job.a, *job.rhs, job.options, session);
-      out.factorization = std::move(sr.factorization);
-      out.x = std::move(sr.x);
-      out.refine_steps = sr.refine_steps;
-      out.residual = sr.residual;
-      out.used_fallback = sr.used_fallback;
+      take(out, job.options.precision == Precision::Float32
+                    ? gesv_mixed(*job.a, *job.rhs, job.options, session)
+                    : gesv(*job.a, *job.rhs, job.options, session));
     } else {
       out.factorization = getrf(*job.a, job.options, session);
     }
@@ -67,6 +108,8 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
 /// Fused mode: prepare every job through the same GetrfJob seam getrf
 /// uses, merge all graphs into one engine run via Session::run_fused,
 /// then run each job's epilogue (left swaps, unpack, solve + refinement).
+/// The per-job prologue and epilogue run across the team, one job per
+/// thread at a time; neither re-enters the session.
 BatchRunResult run_fused(std::vector<BatchJob>& jobs,
                          sched::Session& session) {
   BatchRunResult res;
@@ -78,13 +121,13 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     return res;
   }
 
-  // Tune keys first: each job's Options get their problem-size key
-  // stamped from that job's own matrix, so the engine agreement below
-  // compares tuned resolutions rather than the unkeyed defaults.
-  for (BatchJob& job : jobs) {
-    assert(job.a != nullptr);
+  // Options resolution stays serial: a tuned key's first resolve runs a
+  // calibration on a session of its own.  Tune keys first: each job's
+  // Options get their problem-size key stamped from that job's own
+  // matrix, so the engine agreement below compares tuned resolutions
+  // rather than the unkeyed defaults.
+  for (BatchJob& job : jobs)
     job.options = with_tune_key(job.options, job.a->rows(), job.a->cols());
-  }
 
   // One engine executes the fused graph: a job set that names two engines
   // has no faithful fused schedule, and silently picking one would betray
@@ -107,37 +150,36 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
           "BatchMode::Sequential");
     }
   }
+  // The fused path owns the packing, like getrf.
+  for (BatchJob& job : jobs) job.options.b = job.options.resolved_b();
 
-  // Prepare: per-job pack + plan with that job's own Options.  Reserve up
-  // front — GetrfJob keeps a reference to its PackedMatrix element.
+  // Prologue: copy, pack and plan each job with its own Options.  A job
+  // is packed whole by the team thread that prepares it, so there is no
+  // owner runner (it would re-enter the team).  Sized up front — GetrfJob
+  // keeps a reference to its PackedMatrix element.
   const std::size_t n = jobs.size();
+  sched::ThreadTeam& team = session.team();
   std::vector<layout::Matrix> lu(n);  // rhs jobs factor a copy, gesv-style
-  std::vector<layout::PackedMatrix> packed;
-  packed.reserve(n);
-  std::vector<GetrfJob> prepared;
-  prepared.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    BatchJob& job = jobs[i];
-    layout::Matrix* src = job.a;
+  std::vector<layout::PackedMatrix> packed(n);
+  std::vector<std::optional<GetrfJob>> prepared(n);
+  for_each_job(team, n, [&](std::size_t i) {
+    const BatchJob& job = jobs[i];
+    const Options& o = job.options;
+    const layout::Matrix* src = job.a;
     if (job.rhs != nullptr) {
-      assert(job.a->rows() == job.a->cols() &&
-             job.a->rows() == job.rhs->rows());
       lu[i] = *job.a;
       src = &lu[i];
     }
-    Options& o = job.options;
-    o.b = o.resolved_b();  // the fused path owns the packing, like getrf
-    packed.push_back(
-        layout::PackedMatrix::pack(*src, o.layout, o.b, o.resolved_grid(),
-                                   owner_runner_from(o, session.team())));
-    prepared.emplace_back(packed.back(), o);
-  }
+    packed[i] =
+        layout::PackedMatrix::pack(*src, o.layout, o.b, o.resolved_grid());
+    prepared[i].emplace(packed[i], o);
+  });
 
   std::vector<sched::FusedJob> fused(n);
   for (std::size_t i = 0; i < n; ++i) {
-    fused[i].graph = &prepared[i].graph();
+    fused[i].graph = &prepared[i]->graph();
     fused[i].exec = [&prepared, i](int id, int tid) {
-      prepared[i].exec(id, tid);
+      prepared[i]->exec(id, tid);
     };
     fused[i].on_complete = jobs[i].on_complete;
   }
@@ -147,40 +189,49 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
       run_hooks_from(jobs[0].options, session.threads(), injector);
   sched::FusedRunResult fr = session.run_fused(fused, hooks, engine);
 
-  // Epilogue, per job: deferred left swaps, unpack, and for rhs jobs the
-  // same solve_factored() refinement gesv runs — bit-identity with the
-  // sequential path is shared code, not a re-implementation.
+  // finish() stays on the caller: a tiled job's deferred left swaps run
+  // across the team themselves.
   for (std::size_t i = 0; i < n; ++i) {
-    BatchJob& job = jobs[i];
     BatchJobResult& out = res.jobs[i];
-    out.factorization = prepared[i].finish(session.team());
+    out.factorization = prepared[i]->finish(team);
     out.factorization.stats.engine.static_pops = fr.jobs[i].static_pops;
     out.factorization.stats.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
     out.factorization.stats.engine.elapsed = fr.jobs[i].completed_at;
     out.factorization.stats.factor_seconds = fr.jobs[i].completed_at;
     out.completed_at = fr.jobs[i].completed_at;
-    if (job.rhs != nullptr) {
-      packed[i].unpack(lu[i]);
-      SolveResult sr;
-      sr.factorization = std::move(out.factorization);
-      if (job.options.precision == Precision::Float32) {
-        // Mixed epilogue shared with gesv_mixed.  On fallback the whole
-        // result — fused attribution included — is replaced by the
-        // double re-solve's stats: the factors the caller gets really
-        // did come from that run, not the fused one.
-        refine_mixed(*job.a, *job.rhs, lu[i], job.options, session, sr);
-      } else {
-        solve_factored(*job.a, *job.rhs, lu[i], sr.factorization.ipiv,
-                       job.options.max_refine, sr);
-      }
-      out.factorization = std::move(sr.factorization);
-      out.x = std::move(sr.x);
-      out.refine_steps = sr.refine_steps;
-      out.residual = sr.residual;
-      out.used_fallback = sr.used_fallback;
-    } else {
+  }
+
+  // Epilogue across the team: unpack, and for rhs jobs the same
+  // solve_factored() refinement gesv runs — bit-identity with the
+  // sequential path is shared code, not a re-implementation.  A Float32
+  // job whose factors refine_float rejects is re-solved in double after
+  // the section, on the caller, because the re-solve runs on the session.
+  std::vector<char> rejected(n, 0);
+  for_each_job(team, n, [&](std::size_t i) {
+    const BatchJob& job = jobs[i];
+    BatchJobResult& out = res.jobs[i];
+    if (job.rhs == nullptr) {
       packed[i].unpack(*job.a);
+      return;
     }
+    packed[i].unpack(lu[i]);
+    SolveResult sr;
+    sr.factorization = std::move(out.factorization);
+    if (job.options.precision == Precision::Float32)
+      rejected[i] = !refine_float(*job.a, *job.rhs, lu[i], job.options, sr);
+    else
+      solve_factored(*job.a, *job.rhs, lu[i], sr.factorization.ipiv,
+                     job.options.max_refine, sr);
+    take(out, std::move(sr));
+  });
+  // On fallback the whole result — fused attribution included — is
+  // replaced by the double re-solve's stats: the factors the caller gets
+  // really did come from that run, not the fused one.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!rejected[i]) continue;
+    SolveResult sr;
+    fallback_double(*jobs[i].a, *jobs[i].rhs, jobs[i].options, session, sr);
+    take(res.jobs[i], std::move(sr));
   }
 
   res.completion_order = std::move(fr.completion_order);
@@ -193,6 +244,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
 
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            sched::Session& session, BatchMode mode) {
+  validate(jobs);
   return mode == BatchMode::Fused ? run_fused(jobs, session)
                                   : run_sequential(jobs, session);
 }

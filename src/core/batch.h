@@ -11,6 +11,12 @@
 // merged into one fused DAG (sched::Session::run_fused) executed by a
 // single engine run, so engines steal across jobs and one job's DAG tail
 // overlaps the next job's panel work instead of draining to a barrier.
+// Jobs below core::kWholeJobFlops contribute one whole-job task each, so
+// a fused batch of small jobs runs whole jobs in parallel across the
+// team.  The per-job work around the engine run (copy, pack, plan
+// before it; unpack, solve and refinement after it) also runs across
+// the team, one job per thread at a time.  Each job is packed whole by
+// one thread, so Options::first_touch does not apply to fused batches.
 //
 // Fusion is purely a scheduling change: each job executes exactly the
 // task bodies its one-shot driver would run with the same Options
@@ -113,10 +119,13 @@ struct BatchRunResult {
 };
 
 /// Runs a batch of factor / factor+solve jobs through one session.
-/// Matrices (and rhs) must outlive the call.  Fused mode rejects job sets
-/// that disagree on the engine with std::invalid_argument; observability
-/// hooks (recorder, noise, lookahead_depth) for the fused run are taken
-/// from the first job's Options.
+/// Matrices (and rhs) must outlive the call.  Every job is checked before
+/// any is packed or run: a null `a`, an rhs job whose `a` is not square
+/// or whose rhs row count differs from `a`'s, or options.b < 1 throws
+/// std::invalid_argument naming the job index.  Fused mode also rejects
+/// job sets that disagree on the engine with std::invalid_argument;
+/// observability hooks (recorder, noise, lookahead_depth) for the fused
+/// run are taken from the first job's Options.
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            sched::Session& session,
                            BatchMode mode = BatchMode::Fused);

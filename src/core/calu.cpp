@@ -45,6 +45,13 @@ util::AlignedBufferT<T>& tl_s_bbuf() {
   return buf;
 }
 
+// Per-thread column-major scratch for the whole-job task.
+template <class T>
+util::AlignedBufferT<T>& tl_whole_buf() {
+  thread_local util::AlignedBufferT<T> buf;
+  return buf;
+}
+
 /// Mutable per-run state: tournament candidates, per-panel swap lists.
 /// Distinct tasks touch distinct slots, so no locking is needed beyond the
 /// engine's dependency ordering.
@@ -53,8 +60,8 @@ class Runtime {
  public:
   Runtime(layout::PackedMatrixT<T>& a, const CaluPlan& plan)
       : a_(a), plan_(plan) {
-    cand_.resize(plan.npanels);
-    for (int k = 0; k < plan.npanels; ++k)
+    cand_.resize(plan.tnodes.size());
+    for (std::size_t k = 0; k < plan.tnodes.size(); ++k)
       cand_[k].resize(plan.tnodes[k].size());
     swaps_.resize(plan.npanels);
     if (plan.pack_panels) {
@@ -105,6 +112,7 @@ class Runtime {
 
   StepArena& ensure_arena(int k);
 
+  void exec_whole();
   void exec_p(const sched::Task& t);
   void exec_l(const sched::Task& t);
   void exec_u(const sched::Task& t);
@@ -126,13 +134,54 @@ void Runtime<T>::exec(int id, int tid) {
   (void)tid;
   const sched::Task& t = plan_.graph.task(id);
   switch (t.kind) {
-    case trace::Kind::P: exec_p(t); break;
+    case trace::Kind::P:
+      if (plan_.whole_job)
+        exec_whole();
+      else
+        exec_p(t);
+      break;
     case trace::Kind::L: exec_l(t); break;
     case trace::Kind::U: exec_u(t); break;
     case trace::Kind::S: exec_s(t); break;
     case trace::Kind::PackL: exec_pack_l(t); break;
     case trace::Kind::PackU: exec_pack_u(t); break;
     default: assert(false);
+  }
+}
+
+template <class T>
+void Runtime<T>::exec_whole() {
+  // Gather the tiles into one column-major scratch, run recursive GEPP on
+  // it, scatter back.  getrf_recursive applies every row swap across full
+  // rows (LAPACK getrf), so no deferred left swaps remain for finish().
+  const layout::Tiling& tl = plan_.tiling;
+  const int m = tl.m, n = tl.n;
+  util::AlignedBufferT<T>& buf = tl_whole_buf<T>();
+  buf.reserve(static_cast<std::size_t>(m) * n);
+  auto copy_tiles = [&](bool to_tiles) {
+    for (int J = 0; J < tl.nb(); ++J)
+      for (int I = 0; I < tl.mb(); ++I) {
+        const layout::BlockRefT<T> blk = a_.block(I, J);
+        for (int j = 0; j < blk.cols; ++j) {
+          T* tile = blk.ptr + static_cast<std::size_t>(j) * blk.ld;
+          T* dense = buf.data() + tl.row0(I) +
+                     static_cast<std::size_t>(tl.col0(J) + j) * m;
+          if (to_tiles)
+            std::copy_n(dense, blk.rows, tile);
+          else
+            std::copy_n(tile, blk.rows, dense);
+        }
+      }
+  };
+  copy_tiles(false);
+  std::vector<int> ipiv(std::min(m, n));
+  blas::getrf_recursive(m, n, buf.data(), m, ipiv.data());
+  copy_tiles(true);
+  // Keep the tiled plan's per-panel split of the pivots (take_ipiv).
+  for (int k = 0; k < plan_.npanels; ++k) {
+    const int lo = tl.row0(k);
+    const int hi = std::min(lo + tl.b, static_cast<int>(ipiv.size()));
+    swaps_[k].assign(ipiv.begin() + lo, ipiv.begin() + hi);
   }
 }
 
@@ -145,11 +194,8 @@ void Runtime<T>::exec_p(const sched::Task& t) {
     if (node.child_a < 0) {
       // Leaf: GEPP over this thread row's tiles of the panel.
       const int pr = plan_.grid.pr;
-      std::vector<int> tiles;
-      for (int I = k + (((node.thread_row - k) % pr + pr) % pr);
-           I < tl.mb(); I += pr)
-        tiles.push_back(I);
-      cand_[k][t.aux] = tslu_leaf(a_, k, tiles);
+      cand_[k][t.aux] =
+          tslu_leaf(a_, k, k + ((node.thread_row - k) % pr + pr) % pr, pr);
     } else {
       cand_[k][t.aux] =
           tslu_merge(cand_[k][node.child_a], cand_[k][node.child_b]);
@@ -462,9 +508,11 @@ struct GetrfJob::Impl {
   double flops = 0.0;
 
   Impl(layout::PackedMatrix& a, const Options& opt)
-      : plan(build_plan(a.tiling(), a.grid(), a.layout(),
-                        opt.resolved_dratio(), opt.group_factor,
-                        opt.pack_panels)),
+      : plan(model::lu_flops(a.tiling().m, a.tiling().n) <= kWholeJobFlops
+                 ? build_whole_job_plan(a.tiling(), a.grid())
+                 : build_plan(a.tiling(), a.grid(), a.layout(),
+                              opt.resolved_dratio(), opt.group_factor,
+                              opt.pack_panels)),
         precision(opt.precision) {
     if (precision == Precision::Float32) {
       caller = &a;
@@ -516,7 +564,7 @@ double GetrfJob::flops() const { return impl_->flops; }
 Factorization GetrfJob::finish(sched::ThreadTeam& team) {
   Factorization f;
   auto fin = [&](auto& rt) {
-    rt.apply_left_swaps(team);
+    if (!impl_->plan.whole_job) rt.apply_left_swaps(team);
     f.ipiv = rt.take_ipiv();
     f.stats.pack_tasks = rt.pack_tasks();
     f.stats.s_operand_packs = rt.s_operand_packs();
@@ -531,6 +579,8 @@ Factorization GetrfJob::finish(sched::ThreadTeam& team) {
     fin(*impl_->rt64);
   }
   f.stats.plan_seconds = impl_->plan_seconds;
+  f.stats.plan =
+      impl_->plan.whole_job ? PlanKind::WholeJob : PlanKind::Tiled;
   f.stats.tasks = impl_->plan.graph.num_tasks();
   f.stats.npanels = impl_->plan.npanels;
   f.stats.nstatic_panels = impl_->plan.nstatic;

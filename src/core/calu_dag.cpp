@@ -251,6 +251,25 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
   return plan;
 }
 
+CaluPlan build_whole_job_plan(const layout::Tiling& tiling,
+                              const layout::Grid& grid) {
+  CaluPlan plan;
+  plan.tiling = tiling;
+  plan.grid = grid;
+  plan.whole_job = true;
+  plan.npanels = std::min(tiling.mb(), tiling.nb());
+  // Owner kDynamicOwner and tag -1: any thread may run it.  As panel 0's
+  // task it keeps priority-lookahead's promotion for Interactive jobs.
+  Task t;
+  t.kind = trace::Kind::P;
+  t.step = 0;
+  t.j = 0;
+  t.priority = prio(0, 0, 0);
+  plan.graph.add_task(t);
+  plan.graph.finalize();
+  return plan;
+}
+
 std::string plan_to_dot(const CaluPlan& plan) {
   const sched::TaskGraph& g = plan.graph;
   std::ostringstream os;

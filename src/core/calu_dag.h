@@ -57,6 +57,10 @@ struct CaluPlan {
   int group_factor = 1;  // effective S-group size (1 = per tile)
   bool grouped = false;
   bool pack_panels = false;  // pL/pU tasks present; S consumes the arena
+  /// build_whole_job_plan: the graph is one P task factoring the whole
+  /// matrix; tnodes/root_node/final_task are empty and npanels keeps the
+  /// tiling's panel count.
+  bool whole_job = false;
 };
 
 /// Build the plan.  `dratio` in [0, 1]; `group_factor` >= 1 activates
@@ -65,6 +69,11 @@ struct CaluPlan {
 CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
                     layout::Layout layout, double dratio, int group_factor,
                     bool pack_panels = true);
+
+/// The whole-job plan: one P task, dynamic and untagged, that factors the
+/// entire matrix with recursive GEPP (core::PlanKind::WholeJob).
+CaluPlan build_whole_job_plan(const layout::Tiling& tiling,
+                              const layout::Grid& grid);
 
 /// Graphviz rendering of the plan's task graph (Figure 3); intended for
 /// small tile counts.

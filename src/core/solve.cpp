@@ -100,27 +100,35 @@ bool factors_pathological(const layout::Matrix& a, const layout::Matrix& lu) {
 
 }  // namespace
 
+bool refine_float(const layout::Matrix& a, const layout::Matrix& b,
+                  const layout::Matrix& lu, const Options& opt,
+                  SolveResult& res) {
+  if (factors_pathological(a, lu)) return false;
+  solve_factored(a, b, lu, res.factorization.ipiv, opt.max_refine, res,
+                 kMixedStallRatio);
+  // Double-quality backward error or bust.  max_refine = 0 means the
+  // caller asked for the float-accuracy solution: accept it unless the
+  // solve itself produced non-finite values.
+  const double accept =
+      100.0 * a.rows() * std::numeric_limits<double>::epsilon();
+  return opt.max_refine > 0 ? res.residual <= accept
+                            : !std::isnan(res.residual);
+}
+
+void fallback_double(const layout::Matrix& a, const layout::Matrix& b,
+                     const Options& opt, sched::Session& session,
+                     SolveResult& res) {
+  Options dopt = opt;
+  dopt.precision = Precision::Double;
+  res = gesv(a, b, dopt, session);
+  res.used_fallback = true;
+}
+
 void refine_mixed(const layout::Matrix& a, const layout::Matrix& b,
                   const layout::Matrix& lu, const Options& opt,
                   sched::Session& session, SolveResult& res) {
-  bool fallback = factors_pathological(a, lu);
-  if (!fallback) {
-    solve_factored(a, b, lu, res.factorization.ipiv, opt.max_refine, res,
-                   kMixedStallRatio);
-    // Double-quality backward error or bust.  max_refine = 0 means the
-    // caller asked for the float-accuracy solution: accept it unless the
-    // solve itself produced non-finite values.
-    const double accept =
-        100.0 * a.rows() * std::numeric_limits<double>::epsilon();
-    fallback = opt.max_refine > 0 ? !(res.residual <= accept)
-                                  : std::isnan(res.residual);
-  }
-  if (fallback) {
-    Options dopt = opt;
-    dopt.precision = Precision::Double;
-    res = gesv(a, b, dopt, session);
-    res.used_fallback = true;
-  }
+  if (!refine_float(a, b, lu, opt, res))
+    fallback_double(a, b, opt, session, res);
 }
 
 SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,

@@ -88,15 +88,28 @@ SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
                        const Options& opt, sched::Session& session);
 
 /// The gesv_mixed epilogue, from already-computed float-accuracy factors
-/// (double storage, as GetrfJob writes back): pathological-factor check,
-/// refinement with stall detection, double-accuracy acceptance, and the
-/// full-double fallback (re-solving on `session`).  res.factorization
-/// must already hold the float-run pivots; on fallback the whole result —
-/// factorization included — is replaced by the double re-solve's.  Shared
-/// by gesv_mixed and the batched paths (core/batch.cpp) so the fallback
-/// semantics cannot drift between them.
+/// (double storage, as GetrfJob writes back): refine_float, then
+/// fallback_double when it rejects the factors.  res.factorization must
+/// already hold the float-run pivots.  Shared by gesv_mixed and the
+/// batched paths (core/batch.cpp) so the fallback semantics cannot drift
+/// between them.
 void refine_mixed(const layout::Matrix& a, const layout::Matrix& b,
                   const layout::Matrix& lu, const Options& opt,
                   sched::Session& session, SolveResult& res);
+
+/// refine_mixed's first half: pathological-factor check, refinement with
+/// stall detection, and double-accuracy acceptance.  Returns false when
+/// the float factors are rejected.  Touches no session, so the fused
+/// batch runs it on team threads.
+bool refine_float(const layout::Matrix& a, const layout::Matrix& b,
+                  const layout::Matrix& lu, const Options& opt,
+                  SolveResult& res);
+
+/// refine_mixed's second half: the full-double re-solve on `session`.
+/// The whole result, factorization included, is replaced by the re-solve's
+/// and used_fallback is set.
+void fallback_double(const layout::Matrix& a, const layout::Matrix& b,
+                     const Options& opt, sched::Session& session,
+                     SolveResult& res);
 
 }  // namespace calu::core

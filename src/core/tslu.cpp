@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
+#include <numeric>
 
 #include "src/blas/blas.h"
 
@@ -60,18 +60,18 @@ void tournament_select(int rows, int width, float* w, int ldw, int* src) {
 
 template <class T>
 CandidatesT<T> tslu_leaf(const layout::PackedMatrixT<T>& a, int kcol,
-                         const std::vector<int>& tile_rows) {
+                         int first, int stride) {
   const layout::Tiling& t = a.tiling();
   const int width = t.tile_cols(kcol);
   int rows = 0;
-  for (int I : tile_rows) rows += t.tile_rows(I);
+  for (int I = first; I < t.mb(); I += stride) rows += t.tile_rows(I);
 
   std::vector<T>& w = tl_gather_vals<T>();
   thread_local std::vector<int> src;
   w.resize(static_cast<std::size_t>(rows) * width);
   src.resize(rows);
   int r = 0;
-  for (int I : tile_rows) {
+  for (int I = first; I < t.mb(); I += stride) {
     const layout::BlockRefT<T> blk = a.block(I, kcol);
     for (int j = 0; j < width; ++j)
       std::copy_n(blk.ptr + static_cast<std::size_t>(j) * blk.ld, blk.rows,
@@ -126,9 +126,9 @@ CandidatesT<T> tslu_merge(const CandidatesT<T>& x, const CandidatesT<T>& y) {
 }
 
 template CandidatesT<double> tslu_leaf<double>(
-    const layout::PackedMatrixT<double>&, int, const std::vector<int>&);
+    const layout::PackedMatrixT<double>&, int, int, int);
 template CandidatesT<float> tslu_leaf<float>(const layout::PackedMatrixT<float>&,
-                                             int, const std::vector<int>&);
+                                             int, int, int);
 template CandidatesT<double> tslu_merge<double>(const CandidatesT<double>&,
                                                 const CandidatesT<double>&);
 template CandidatesT<float> tslu_merge<float>(const CandidatesT<float>&,
@@ -136,30 +136,31 @@ template CandidatesT<float> tslu_merge<float>(const CandidatesT<float>&,
 
 std::vector<int> build_swap_list(const std::vector<int>& winners, int row0,
                                  int count) {
-  // Track current positions of displaced rows only; everything else is at
-  // its home position.  Winner i moves to position row0 + i.
-  std::unordered_map<int, int> loc;     // row -> current position
-  std::unordered_map<int, int> at;      // position -> current row
-  auto pos_of = [&](int row) {
-    auto it = loc.find(row);
-    return it == loc.end() ? row : it->second;
-  };
-  auto row_at = [&](int pos) {
-    auto it = at.find(pos);
-    return it == at.end() ? pos : it->second;
-  };
+  // Winner i moves to position row0 + i.  Every row and position the
+  // swaps touch lies in [lo, hi): the panel's top `count` positions and
+  // the winners' home rows.  Two flat arrays over that window track where
+  // each row is and which row sits at each position, starting at
+  // identity.
+  int lo = row0, hi = row0 + count;
+  for (int i = 0; i < count; ++i) {
+    lo = std::min(lo, winners[i]);
+    hi = std::max(hi, winners[i] + 1);
+  }
+  std::vector<int> loc(static_cast<std::size_t>(hi - lo));  // row -> position
+  std::iota(loc.begin(), loc.end(), lo);
+  std::vector<int> at = loc;                                // position -> row
   std::vector<int> swaps(count);
   for (int i = 0; i < count; ++i) {
     const int g = winners[i];
     const int p1 = row0 + i;
-    const int p2 = pos_of(g);
+    const int p2 = loc[g - lo];
     swaps[i] = p2;
     if (p1 != p2) {
-      const int r1 = row_at(p1);
-      loc[g] = p1;
-      at[p1] = g;
-      loc[r1] = p2;
-      at[p2] = r1;
+      const int r1 = at[p1 - lo];
+      loc[g - lo] = p1;
+      at[p1 - lo] = g;
+      loc[r1 - lo] = p2;
+      at[p2 - lo] = r1;
     }
   }
   return swaps;

@@ -50,20 +50,22 @@ using Candidates = CandidatesT<double>;
 void tournament_select(int rows, int width, double* w, int ldw, int* src);
 void tournament_select(int rows, int width, float* w, int ldw, int* src);
 
-/// Leaf step: gather the given tiles of panel column `kcol` (tile rows in
-/// `tile_rows`, ascending) from `a`, select, and return the winner set.
+/// Leaf step: gather tile rows first, first + stride, ... (below
+/// a.tiling().mb()) of panel column `kcol` from `a` — one thread row's
+/// tiles under the cyclic distribution — select, and return the winner
+/// set.
 template <class T>
 CandidatesT<T> tslu_leaf(const layout::PackedMatrixT<T>& a, int kcol,
-                         const std::vector<int>& tile_rows);
+                         int first, int stride);
 
 /// Merge step: stack two candidate sets, select, return the winner set.
 template <class T>
 CandidatesT<T> tslu_merge(const CandidatesT<T>& x, const CandidatesT<T>& y);
 
 extern template CandidatesT<double> tslu_leaf<double>(
-    const layout::PackedMatrixT<double>&, int, const std::vector<int>&);
+    const layout::PackedMatrixT<double>&, int, int, int);
 extern template CandidatesT<float> tslu_leaf<float>(
-    const layout::PackedMatrixT<float>&, int, const std::vector<int>&);
+    const layout::PackedMatrixT<float>&, int, int, int);
 extern template CandidatesT<double> tslu_merge<double>(
     const CandidatesT<double>&, const CandidatesT<double>&);
 extern template CandidatesT<float> tslu_merge<float>(const CandidatesT<float>&,

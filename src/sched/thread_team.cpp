@@ -1,6 +1,5 @@
 #include "src/sched/thread_team.h"
 
-#include <algorithm>
 #include <cassert>
 #include <climits>
 
@@ -212,13 +211,18 @@ void ThreadTeam::run(const std::function<void(int)>& fn) {
 }
 
 void ThreadTeam::parallel_for(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  const int p = nthreads_;
-  run([&](int tid) {
-    const int chunk = (n + p - 1) / p;
-    const int lo = tid * chunk;
-    const int hi = std::min(n, lo + chunk);
-    for (int i = lo; i < hi; ++i) fn(i);
+  if (n <= 1 || nthreads_ == 1) {
+    for (int i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // One shared counter hands out indices as threads free up, so
+  // iterations of unequal cost (deferred swaps per tile column, jobs of
+  // mixed size) balance themselves.
+  std::atomic<int> next{0};
+  run([&](int) {
+    for (int i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed))
+      fn(i);
   });
 }
 

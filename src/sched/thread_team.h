@@ -48,7 +48,10 @@ class ThreadTeam {
   /// all of them.  Not reentrant.
   void run(const std::function<void(int)>& fn);
 
-  /// Static-chunked parallel for over [0, n).
+  /// Runs fn(i) for every i in [0, n) across the team and waits.  Indices
+  /// are handed out one at a time from a shared counter, so uneven
+  /// iterations balance; n <= 1 (or a one-thread team) runs inline on the
+  /// caller without a dispatch.  Not reentrant, like run().
   void parallel_for(int n, const std::function<void(int)>& fn);
 
   /// The cpu id thread `tid` was successfully pinned to, or -1 when the

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -298,6 +299,11 @@ TEST(BatchedRun, FusedBitIdenticalToSequentialAcrossEnginesAndPackModes) {
       EXPECT_EQ(seq.stats.dag_runs, seq_ms.size());
       EXPECT_EQ(fus.stats.dag_runs, 1u);  // the whole batch, one engine run
       ASSERT_EQ(fus.jobs.size(), seq.jobs.size());
+      // The set mixes plan shapes: the 96x96 job runs the tiled DAG, the
+      // 64x64 job is one whole-job task, in the same fused run.
+      EXPECT_EQ(fus.jobs[0].factorization.stats.plan, core::PlanKind::Tiled);
+      EXPECT_EQ(fus.jobs[1].factorization.stats.plan,
+                core::PlanKind::WholeJob);
       for (std::size_t i = 0; i < seq_ms.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
         EXPECT_EQ(fus.jobs[i].factorization.ipiv,
@@ -418,6 +424,93 @@ TEST(BatchedRun, FusedRunCarriesMixedPrecisionJobs) {
   // Factor-only float job: same float-accuracy factors either way.
   EXPECT_EQ(test::max_abs_diff(seq_fo[0], fus_fo[0]), 0.0);
   EXPECT_EQ(fus.jobs[2].factorization.ipiv, seq.jobs[2].factorization.ipiv);
+}
+
+TEST(BatchedRun, FusedFloat32FallbackMatchesSequential) {
+  // A Float32 solve job whose float factors are rejected is re-solved in
+  // double after the fused run's parallel epilogue (the re-solve needs
+  // the session).  It must match gesv_mixed's sequential result, and the
+  // healthy jobs beside it must be unaffected.
+  const int n = 24;
+  Matrix hilbert(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) hilbert(i, j) = 1.0 / (1.0 + i + j);
+  std::vector<Matrix> as{Matrix::random(64, 64, 2311), hilbert,
+                         Matrix::random(96, 96, 2312)};
+  std::vector<Matrix> bs{Matrix::random(64, 1, 2313),
+                         Matrix::random(n, 1, 2314),
+                         Matrix::random(96, 1, 2315)};
+  std::vector<core::BatchJob> make =
+      solve_jobs(as, bs, batch_options("hybrid", true));
+  for (core::BatchJob& job : make) {
+    job.options.precision = core::Precision::Float32;
+    job.options.max_refine = 5;
+  }
+  std::vector<core::BatchJob> seq_jobs = make, fus_jobs = make;
+  sched::Session session(sched::SessionOptions{4, false});
+  core::BatchRunResult seq =
+      core::batched_run(seq_jobs, session, core::BatchMode::Sequential);
+  core::BatchRunResult fus =
+      core::batched_run(fus_jobs, session, core::BatchMode::Fused);
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(fus.jobs[i].used_fallback, i == 1);
+    EXPECT_EQ(fus.jobs[i].used_fallback, seq.jobs[i].used_fallback);
+    EXPECT_EQ(test::max_abs_diff(fus.jobs[i].x, seq.jobs[i].x), 0.0);
+    EXPECT_EQ(fus.jobs[i].refine_steps, seq.jobs[i].refine_steps);
+    EXPECT_EQ(fus.jobs[i].factorization.stats.precision,
+              seq.jobs[i].factorization.stats.precision);
+    EXPECT_LT(fus.jobs[i].residual, 1e-10);
+  }
+}
+
+TEST(BatchedRun, MalformedJobsAreRejectedBeforeAnyWork) {
+  // A malformed job between two good ones: batched_run must throw naming
+  // it before packing or running anything, in either mode — no callback
+  // fires, no engine runs, and the good jobs' matrices stay untouched.
+  Matrix tall = Matrix::random(48, 40, 2501);
+  const Matrix rhs48 = Matrix::random(48, 1, 2502);
+  const Matrix rhs40 = Matrix::random(40, 1, 2503);
+  const struct {
+    const char* what;
+    std::function<void(core::BatchJob&)> spoil;
+  } cases[] = {
+      {"null matrix", [](core::BatchJob& j) { j.a = nullptr; }},
+      {"non-square solve",
+       [&](core::BatchJob& j) {
+         j.a = &tall;
+         j.rhs = &rhs48;
+       }},
+      {"rhs row mismatch", [&](core::BatchJob& j) { j.rhs = &rhs40; }},
+      {"tile size 0", [](core::BatchJob& j) { j.options.b = 0; }},
+  };
+  for (core::BatchMode mode :
+       {core::BatchMode::Fused, core::BatchMode::Sequential})
+    for (const auto& c : cases) {
+      const char* mode_name =
+          mode == core::BatchMode::Fused ? " fused" : " sequential";
+      SCOPED_TRACE(std::string(c.what) + mode_name);
+      std::vector<Matrix> ms = mixed_jobs(2504);
+      const std::vector<Matrix> ms0 = ms;
+      std::vector<core::BatchJob> jobs =
+          factor_jobs(ms, batch_options("hybrid", true));
+      std::atomic<int> fired{0};
+      for (core::BatchJob& job : jobs)
+        job.on_complete = [&fired](int) { fired.fetch_add(1); };
+      c.spoil(jobs[1]);
+      sched::Session session(sched::SessionOptions{4, false});
+      try {
+        core::batched_run(jobs, session, mode);
+        ADD_FAILURE() << "malformed job accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(fired.load(), 0);
+      EXPECT_EQ(session.runs(), 0u);
+      for (std::size_t i = 0; i < ms.size(); ++i)
+        EXPECT_EQ(test::max_abs_diff(ms[i], ms0[i]), 0.0) << "job " << i;
+    }
 }
 
 TEST(BatchedRun, CompletionCallbacksFireOncePerJob) {

@@ -2,15 +2,20 @@
 // space (Table 1): schedule x layout x shape x threads x dratio.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
 #include "src/core/calu_dag.h"
 #include "src/core/solve.h"
 #include "src/layout/matrix.h"
+#include "src/model/lu_cost.h"
+#include "src/sched/engine_registry.h"
+#include "src/sched/session.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -379,6 +384,89 @@ TEST(CaluPlan, DotExportContainsTasks) {
   EXPECT_NE(dot.find("digraph calu"), std::string::npos);
   EXPECT_NE(dot.find("(static)"), std::string::npos);
   EXPECT_NE(dot.find("(dynamic)"), std::string::npos);
+}
+
+TEST(CaluPlan, WholeJobPlanIsOneDynamicUntaggedTask) {
+  // One task any thread may run, so a fused batch of whole-job plans
+  // balances under every engine and d-ratio.
+  layout::Tiling t{64, 64, 16};
+  auto plan = core::build_whole_job_plan(t, layout::Grid{2, 2});
+  ASSERT_EQ(plan.graph.num_tasks(), 1);
+  const sched::Task& task = plan.graph.task(0);
+  EXPECT_EQ(task.kind, trace::Kind::P);
+  EXPECT_EQ(task.owner, sched::kDynamicOwner);
+  EXPECT_EQ(task.tag, -1);
+  EXPECT_EQ(plan.npanels, 4);
+  EXPECT_EQ(plan.nstatic, 0);
+}
+
+// -------------------------------------------------------- plan kind ---
+
+TEST(CaluPlanKind, DependsOnlyOnTheShape) {
+  // The crossover reads (m, n) alone.  Below it and above it, the plan
+  // kind must not move with the tile size, threads, engine, layout or
+  // precision; otherwise two entry points could factor one job
+  // differently.
+  const struct {
+    int m, n;
+    core::PlanKind plan;
+  } shapes[] = {{64, 64, core::PlanKind::WholeJob},
+                {150, 60, core::PlanKind::Tiled}};
+  ASSERT_LE(model::lu_flops(64, 64), core::kWholeJobFlops);
+  ASSERT_GT(model::lu_flops(150, 60), core::kWholeJobFlops);
+  for (const auto& sh : shapes)
+    for (int t : {1, 2, 4, 8}) {
+      sched::Session session(sched::SessionOptions{t, false});
+      for (const std::string& engine : sched::engine_names())
+        for (Layout l :
+             {Layout::BlockCyclic, Layout::TwoLevelBlock, Layout::ColumnMajor})
+          for (core::Precision p :
+               {core::Precision::Double, core::Precision::Float32})
+            for (int b : {16, 48}) {
+              SCOPED_TRACE(engine + " threads=" + std::to_string(t) + " " +
+                           layout::layout_name(l) + " " +
+                           core::precision_name(p) + " b=" +
+                           std::to_string(b) + " m=" + std::to_string(sh.m));
+              Options o;
+              o.b = b;
+              o.threads = t;
+              o.pin_threads = false;
+              o.engine = engine;
+              o.layout = l;
+              o.precision = p;
+              Matrix a = Matrix::random(sh.m, sh.n, 70);
+              Factorization f = core::getrf(a, o, session);
+              EXPECT_EQ(f.stats.plan, sh.plan);
+              EXPECT_EQ(f.stats.npanels, (std::min(sh.m, sh.n) + b - 1) / b);
+              if (sh.plan == core::PlanKind::WholeJob) {
+                EXPECT_EQ(f.stats.tasks, 1);
+              }
+            }
+    }
+}
+
+TEST(CaluPlanKind, WholeJobMatchesRecursiveGepp) {
+  // The whole-job task is blas::getrf_recursive on a column-major copy:
+  // pivots and factors must equal a direct call's, bit for bit, for
+  // square, tall and wide shapes.
+  const struct {
+    int m, n;
+  } shapes[] = {{64, 64}, {96, 40}, {40, 96}};
+  for (const auto& sh : shapes) {
+    SCOPED_TRACE("m=" + std::to_string(sh.m) + " n=" + std::to_string(sh.n));
+    Matrix ref = Matrix::random(sh.m, sh.n, 71);
+    Matrix a = ref;
+    std::vector<int> ipiv(std::min(sh.m, sh.n));
+    blas::getrf_recursive(sh.m, sh.n, ref.data(), ref.ld(), ipiv.data());
+    Options o;
+    o.b = 16;
+    o.threads = 4;
+    o.pin_threads = false;
+    Factorization f = core::getrf(a, o);
+    ASSERT_EQ(f.stats.plan, core::PlanKind::WholeJob);
+    EXPECT_EQ(f.ipiv, ipiv);
+    EXPECT_EQ(test::max_abs_diff(a, ref), 0.0);
+  }
 }
 
 // ---------------------------------------------------------- tracing ---

@@ -60,14 +60,21 @@ Options matrix_options(const std::string& engine, int threads, bool pack) {
 TEST_P(EngineMatrixTest, CaluBitIdenticalAcrossEngines) {
   // Square and tall-skinny (the shape CALU was designed for, with edge
   // tiles) — both must match the single-thread hybrid reference exactly.
+  // The two shapes below the whole-job crossover run as one task and
+  // must hold the same contract; the others must keep running the DAG.
   const struct {
     int m, n;
     std::uint64_t seed;
-  } shapes[] = {{120, 120, 913}, {150, 60, 914}};
+    core::PlanKind plan;
+  } shapes[] = {{120, 120, 913, core::PlanKind::Tiled},
+                {150, 60, 914, core::PlanKind::Tiled},
+                {64, 64, 920, core::PlanKind::WholeJob},
+                {96, 40, 921, core::PlanKind::WholeJob}};
   for (const auto& sh : shapes) {
     Matrix a_ref = Matrix::random(sh.m, sh.n, sh.seed);
     Factorization f_ref =
         core::getrf(a_ref, matrix_options("hybrid", 1, true));
+    ASSERT_EQ(f_ref.stats.plan, sh.plan) << "m=" << sh.m << " n=" << sh.n;
     for (const std::string& engine : sched::engine_names())
       for (int t : kThreadCounts)
         for (bool pack : kPackModes) {
@@ -76,6 +83,7 @@ TEST_P(EngineMatrixTest, CaluBitIdenticalAcrossEngines) {
                        std::to_string(sh.m) + " n=" + std::to_string(sh.n));
           Matrix a = Matrix::random(sh.m, sh.n, sh.seed);
           Factorization f = core::getrf(a, matrix_options(engine, t, pack));
+          EXPECT_EQ(f.stats.plan, sh.plan);
           EXPECT_EQ(f.ipiv, f_ref.ipiv);
           EXPECT_EQ(test::max_abs_diff(a, a_ref), 0.0);
         }

@@ -78,6 +78,22 @@ TEST(ThreadTeam, ParallelForEmptyAndSmall) {
   EXPECT_EQ(n.load(), 2);
 }
 
+TEST(ThreadTeam, ParallelForVisitsEveryIndexExactlyOnce) {
+  // The shared-counter hand-out must neither skip nor repeat an index at
+  // the edges: empty, one (run inline), fewer indices than threads,
+  // exactly one per thread, and a ragged multiple.
+  for (int p : {1, 2, 4}) {
+    ThreadTeam team(p, false);
+    for (int n : {0, 1, p - 1, p, 10 * p + 3}) {
+      SCOPED_TRACE("p=" + std::to_string(p) + " n=" + std::to_string(n));
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      for (auto& h : hits) h.store(0);
+      team.parallel_for(n, [&](int i) { hits[i].fetch_add(1); });
+      for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+    }
+  }
+}
+
 TEST(ThreadTeam, HardwareThreadsHonorsAffinityMask) {
   // Default-sized teams must size themselves from the cpus the process is
   // actually allowed on, not the machine's core count.
