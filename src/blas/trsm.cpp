@@ -18,9 +18,11 @@
 //   and the residual checks in tests/blas_test.cpp — width 16 was
 //   measurably over their tolerances on random unit triangles).
 //
-//   Narrow B (getrs-style solves): substitution over kTrsmBlock-wide
+//   Narrow B (the factorization's edge tiles, the Cholesky and
+//   incremental-pivoting solves): substitution over kTrsmBlock-wide
 //   packed diagonal blocks, off-diagonal gemm — nothing amortizes an
-//   inversion, and the pre-overhaul behavior is preserved exactly.
+//   inversion, and the pre-overhaul behavior is preserved exactly.  The
+//   LU solve (core/solve.cpp) walks its own tiles instead.
 //
 // All four (side, uplo) combinations take the fast path for Trans::No,
 // plus the two transposed cases Cholesky leans on (Right/Lower and

@@ -31,21 +31,10 @@ void finish_stats(BatchStats& st, const sched::Session& session,
 /// Rejects a malformed job set before any job is packed or run, so a bad
 /// job can neither crash a team thread nor leave other jobs half done.
 void validate(const std::vector<BatchJob>& jobs) {
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const BatchJob& job = jobs[i];
-    const char* why = nullptr;
-    if (job.a == nullptr)
-      why = "null matrix";
-    else if (job.rhs != nullptr && job.a->rows() != job.a->cols())
-      why = "a solve job needs a square matrix";
-    else if (job.rhs != nullptr && job.rhs->rows() != job.a->rows())
-      why = "rhs row count differs from the matrix's";
-    else if (job.options.b < 1)
-      why = "tile size b < 1";
-    if (why != nullptr)
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (const char* why = input_defect(jobs[i].a, jobs[i].rhs, jobs[i].options))
       throw std::invalid_argument("batched_run: job " + std::to_string(i) +
                                   ": " + why);
-  }
 }
 
 /// Moves a solve's outcome into the job's result.
@@ -107,8 +96,9 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
 
 /// Fused mode: prepare every job through the same GetrfJob seam getrf
 /// uses, merge all graphs into one engine run via Session::run_fused,
-/// then run each job's epilogue (left swaps, unpack, solve + refinement).
-/// The per-job prologue and epilogue run across the team, one job per
+/// then run each job's epilogue: a factor-only job's left swaps and
+/// unpack, a solve job's solve + refinement on its packed factors.  The
+/// per-job prologue and epilogue run across the team, one job per
 /// thread at a time; neither re-enters the session.
 BatchRunResult run_fused(std::vector<BatchJob>& jobs,
                          sched::Session& session) {
@@ -153,25 +143,19 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // The fused path owns the packing, like getrf.
   for (BatchJob& job : jobs) job.options.b = job.options.resolved_b();
 
-  // Prologue: copy, pack and plan each job with its own Options.  A job
-  // is packed whole by the team thread that prepares it, so there is no
-  // owner runner (it would re-enter the team).  Sized up front — GetrfJob
-  // keeps a reference to its PackedMatrix element.
+  // Prologue: pack and plan each job with its own Options, straight
+  // from the caller's matrix.  A job is packed whole by the team thread
+  // that prepares it, so there is no owner runner (it would re-enter the
+  // team).  Sized up front — GetrfJob keeps a reference to its
+  // PackedMatrix element.
   const std::size_t n = jobs.size();
   sched::ThreadTeam& team = session.team();
-  std::vector<layout::Matrix> lu(n);  // rhs jobs factor a copy, gesv-style
   std::vector<layout::PackedMatrix> packed(n);
   std::vector<std::optional<GetrfJob>> prepared(n);
   for_each_job(team, n, [&](std::size_t i) {
-    const BatchJob& job = jobs[i];
-    const Options& o = job.options;
-    const layout::Matrix* src = job.a;
-    if (job.rhs != nullptr) {
-      lu[i] = *job.a;
-      src = &lu[i];
-    }
-    packed[i] =
-        layout::PackedMatrix::pack(*src, o.layout, o.b, o.resolved_grid());
+    const Options& o = jobs[i].options;
+    packed[i] = layout::PackedMatrix::pack(*jobs[i].a, o.layout, o.b,
+                                           o.resolved_grid());
     prepared[i].emplace(packed[i], o);
   });
 
@@ -189,40 +173,43 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
       run_hooks_from(jobs[0].options, session.threads(), injector);
   sched::FusedRunResult fr = session.run_fused(fused, hooks, engine);
 
-  // finish() stays on the caller: a tiled job's deferred left swaps run
-  // across the team themselves.
+  // The job's share of the fused run, stamped over its finish() stats.
+  auto attribute = [&fr](std::size_t i, Factorization& f) {
+    f.stats.engine.static_pops = fr.jobs[i].static_pops;
+    f.stats.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
+    f.stats.engine.elapsed = fr.jobs[i].completed_at;
+    f.stats.factor_seconds = fr.jobs[i].completed_at;
+  };
+  // Factor-only jobs return LAPACK-form factors.  Their finish() runs the
+  // deferred left swaps across the team, so it stays on the caller.
   for (std::size_t i = 0; i < n; ++i) {
-    BatchJobResult& out = res.jobs[i];
-    out.factorization = prepared[i]->finish(team);
-    out.factorization.stats.engine.static_pops = fr.jobs[i].static_pops;
-    out.factorization.stats.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
-    out.factorization.stats.engine.elapsed = fr.jobs[i].completed_at;
-    out.factorization.stats.factor_seconds = fr.jobs[i].completed_at;
-    out.completed_at = fr.jobs[i].completed_at;
+    res.jobs[i].completed_at = fr.jobs[i].completed_at;
+    if (jobs[i].rhs != nullptr) continue;
+    res.jobs[i].factorization = prepared[i]->finish(team);
+    attribute(i, res.jobs[i].factorization);
   }
 
-  // Epilogue across the team: unpack, and for rhs jobs the same
-  // solve_factored() refinement gesv runs — bit-identity with the
+  // Epilogue across the team: unpack a factor-only job; finish a solve
+  // job in the deferred form and run the same solve_factored()
+  // refinement gesv runs on its packed factors — bit-identity with the
   // sequential path is shared code, not a re-implementation.  A Float32
   // job whose factors refine_float rejects is re-solved in double after
   // the section, on the caller, because the re-solve runs on the session.
   std::vector<char> rejected(n, 0);
   for_each_job(team, n, [&](std::size_t i) {
     const BatchJob& job = jobs[i];
-    BatchJobResult& out = res.jobs[i];
     if (job.rhs == nullptr) {
       packed[i].unpack(*job.a);
       return;
     }
-    packed[i].unpack(lu[i]);
     SolveResult sr;
-    sr.factorization = std::move(out.factorization);
+    sr.factorization = prepared[i]->finish_deferred();
+    attribute(i, sr.factorization);
     if (job.options.precision == Precision::Float32)
-      rejected[i] = !refine_float(*job.a, *job.rhs, lu[i], job.options, sr);
+      rejected[i] = !refine_float(*job.a, *job.rhs, packed[i], job.options, sr);
     else
-      solve_factored(*job.a, *job.rhs, lu[i], sr.factorization.ipiv,
-                     job.options.max_refine, sr);
-    take(out, std::move(sr));
+      solve_factored(*job.a, *job.rhs, packed[i], job.options.max_refine, sr);
+    take(res.jobs[i], std::move(sr));
   });
   // On fallback the whole result — fused attribution included — is
   // replaced by the double re-solve's stats: the factors the caller gets

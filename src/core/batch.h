@@ -13,10 +13,15 @@
 // overlaps the next job's panel work instead of draining to a barrier.
 // Jobs below core::kWholeJobFlops contribute one whole-job task each, so
 // a fused batch of small jobs runs whole jobs in parallel across the
-// team.  The per-job work around the engine run (copy, pack, plan
-// before it; unpack, solve and refinement after it) also runs across
-// the team, one job per thread at a time.  Each job is packed whole by
-// one thread, so Options::first_touch does not apply to fused batches.
+// team.  The per-job work around the engine run also runs across the
+// team, one job per thread at a time: pack and plan before it, straight
+// from the caller's matrix; after it, a factor-only job's unpack (its
+// deferred left swaps run on the caller first, across the team, because
+// it returns LAPACK-form factors) or a solve job's solve and refinement
+// on its packed factors in the deferred form, with no copy, left swaps
+// or unpack (see core/solve.h for why that is exact).  Each job is
+// packed whole by one thread, so Options::first_touch does not apply to
+// fused batches.
 //
 // Fusion is purely a scheduling change: each job executes exactly the
 // task bodies its one-shot driver would run with the same Options
@@ -42,9 +47,9 @@ namespace calu::core {
 ///
 ///  - Without `rhs`: *a is factored IN PLACE (LAPACK combined [L\U],
 ///    getrf semantics).
-///  - With `rhs`: gesv semantics — *a is left untouched, the result
-///    carries x / refine_steps / residual, refinement capped at
-///    options.max_refine.
+///  - With `rhs`: gesv semantics — *a is only read (packed from, never
+///    copied or written), the result carries x / refine_steps /
+///    residual, refinement capped at options.max_refine.
 ///
 /// Options are per job (tile size, grid, layout, pack_panels, dratio,
 /// max_refine, precision ... may all differ — a fused run can interleave
@@ -119,10 +124,11 @@ struct BatchRunResult {
 };
 
 /// Runs a batch of factor / factor+solve jobs through one session.
-/// Matrices (and rhs) must outlive the call.  Every job is checked before
-/// any is packed or run: a null `a`, an rhs job whose `a` is not square
-/// or whose rhs row count differs from `a`'s, or options.b < 1 throws
-/// std::invalid_argument naming the job index.  Fused mode also rejects
+/// Matrices (and rhs) must outlive the call.  Every job is checked
+/// (core::input_defect) before any is packed or run: a null `a`, an rhs
+/// job whose `a` is not square or whose rhs row count differs from
+/// `a`'s, or options.b < 1 throws std::invalid_argument naming the job
+/// index.  Fused mode also rejects
 /// job sets that disagree on the engine with std::invalid_argument;
 /// observability hooks (recorder, noise, lookahead_depth) for the fused
 /// run are taken from the first job's Options.

@@ -16,6 +16,8 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "src/blas/blas.h"
 #include "src/blas/microkernel.h"
@@ -561,19 +563,15 @@ double GetrfJob::plan_seconds() const { return impl_->plan_seconds; }
 
 double GetrfJob::flops() const { return impl_->flops; }
 
-Factorization GetrfJob::finish(sched::ThreadTeam& team) {
+Factorization GetrfJob::finish_deferred() {
   Factorization f;
   auto fin = [&](auto& rt) {
-    if (!impl_->plan.whole_job) rt.apply_left_swaps(team);
     f.ipiv = rt.take_ipiv();
     f.stats.pack_tasks = rt.pack_tasks();
     f.stats.s_operand_packs = rt.s_operand_packs();
   };
   if (impl_->rt32) {
     fin(*impl_->rt32);
-    // Left swaps must land while the factors are still float: swaps
-    // commute with the (exact) float -> double conversion, but doing
-    // them here keeps one code path and one write-back.
     impl_->a32.convert_into(*impl_->caller);
   } else {
     fin(*impl_->rt64);
@@ -589,8 +587,36 @@ Factorization GetrfJob::finish(sched::ThreadTeam& team) {
   return f;
 }
 
-Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
-                    sched::Session& session) {
+Factorization GetrfJob::finish(sched::ThreadTeam& team) {
+  // A Float32 job swaps its float factors before finish_deferred writes
+  // them back: swaps commute with the exact float -> double conversion,
+  // and this keeps one write-back.
+  if (!impl_->plan.whole_job) {
+    if (impl_->rt32)
+      impl_->rt32->apply_left_swaps(team);
+    else
+      impl_->rt64->apply_left_swaps(team);
+  }
+  return finish_deferred();
+}
+
+const char* input_defect(const layout::Matrix* a, const layout::Matrix* rhs,
+                         const Options& opt) {
+  if (a == nullptr) return "null matrix";
+  if (rhs != nullptr && a->rows() != a->cols())
+    return "a solve needs a square matrix";
+  if (rhs != nullptr && rhs->rows() != a->rows())
+    return "rhs row count differs from the matrix's";
+  if (opt.b < 1) return "tile size b < 1";
+  return nullptr;
+}
+
+namespace {
+
+/// Runs a prepared job on `session` and finishes it in the requested
+/// form; every getrf-family driver ends here, so their Stats agree.
+Factorization run_job(layout::PackedMatrix& a, const Options& opt_in,
+                      sched::Session& session, bool lapack_form) {
   const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
   GetrfJob job(a, opt);
   std::unique_ptr<noise::Injector> injector;
@@ -600,7 +626,8 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
   const auto t0 = std::chrono::steady_clock::now();
   const sched::EngineStats engine_stats =
       session.run(job.graph(), exec, hooks, opt.resolved_engine());
-  Factorization f = job.finish(session.team());
+  Factorization f =
+      lapack_form ? job.finish(session.team()) : job.finish_deferred();
   f.stats.engine = engine_stats;
   f.stats.factor_seconds = seconds_since(t0);
   f.stats.gflops = model::gflops(job.flops(), f.stats.factor_seconds);
@@ -611,22 +638,38 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
   return f;
 }
 
+}  // namespace
+
+Factorization getrf(layout::PackedMatrix& a, const Options& opt,
+                    sched::Session& session) {
+  return run_job(a, opt, session, /*lapack_form=*/true);
+}
+
 Factorization getrf(layout::PackedMatrix& a, const Options& opt) {
   sched::Session ephemeral(session_options_from(opt));
   return getrf(a, opt, ephemeral);
 }
 
-Factorization getrf(layout::Matrix& a, const Options& opt_in,
-                    sched::Session& session) {
-  // The Matrix-level driver owns the packing, so it is the one place the
-  // tuned tile size can be applied: materialize it into `b` before the
-  // pack (GetrfJob's b-match contract then holds by construction).
+Factorization factor_packed(const layout::Matrix& a, const Options& opt_in,
+                            sched::Session& session,
+                            layout::PackedMatrix& packed, bool lapack_form) {
+  // The Matrix-level drivers own the packing, so they are the one place
+  // the tuned tile size can be applied: materialize it into `b` before
+  // the pack (GetrfJob's b-match contract then holds by construction).
   Options opt = with_tune_key(opt_in, a.rows(), a.cols());
   opt.b = opt.resolved_b();
-  layout::PackedMatrix p =
-      layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
-                                 owner_runner_from(opt, session.team()));
-  Factorization f = getrf(p, opt, session);
+  packed = layout::PackedMatrix::pack(a, opt.layout, opt.b,
+                                      opt.resolved_grid(),
+                                      owner_runner_from(opt, session.team()));
+  return run_job(packed, opt, session, lapack_form);
+}
+
+Factorization getrf(layout::Matrix& a, const Options& opt,
+                    sched::Session& session) {
+  if (const char* why = input_defect(&a, nullptr, opt))
+    throw std::invalid_argument(std::string("getrf: ") + why);
+  layout::PackedMatrix p;
+  Factorization f = factor_packed(a, opt, session, p, /*lapack_form=*/true);
   p.unpack(a);
   return f;
 }

@@ -162,7 +162,9 @@ struct Options {
 };
 
 struct Stats {
-  double factor_seconds = 0.0;  // engine run + deferred left swaps
+  /// Engine run + finish: the deferred left swaps are part of it only
+  /// where LAPACK-form factors are returned (getrf, factor-only jobs).
+  double factor_seconds = 0.0;
   double plan_seconds = 0.0;    // task-graph construction
   double gflops = 0.0;          // lu_flops / factor_seconds
   sched::EngineStats engine;
@@ -204,9 +206,9 @@ class GetrfJob {
   /// plan is the tiled CALU DAG, or the one-task whole-job plan when
   /// model::lu_flops(m, n) <= kWholeJobFlops (Stats::plan says which).  With
   /// opt.precision == Float32 the tasks run on an internally converted
-  /// same-geometry float copy, and finish() writes the factors back into
-  /// `a` (float -> double conversion is exact, so `a` then holds the
-  /// float-accuracy factors bit-for-bit).
+  /// same-geometry float copy, and either finish writes the factors
+  /// back into `a` (float -> double conversion is exact, so `a` then
+  /// holds the float-accuracy factors bit-for-bit).
   GetrfJob(layout::PackedMatrix& a, const Options& opt);
   ~GetrfJob();
   GetrfJob(GetrfJob&&) noexcept;
@@ -220,11 +222,21 @@ class GetrfJob {
   /// dependency ordering, like any task body.
   void exec(int id, int tid);
 
-  /// Applies the deferred left swaps (tiled plans; they run across
-  /// `team`) and extracts pivots + plan/task/pack stats.  A whole-job
-  /// plan has no deferred swaps and leaves `team` untouched.  Call
-  /// exactly once, after every task of graph() executed.  Engine counters
-  /// and wall-clock attribution belong to the caller that ran the graph.
+  /// Extracts pivots + plan/task/pack stats and leaves the factors in the
+  /// deferred form the engine ran them to: a tiled plan's left swaps
+  /// (Algorithm 1, line 43) are not applied, so the L tiles of panel k
+  /// carry the swaps of panels <= k only.  The solve drivers substitute
+  /// on this form directly (src/core/solve.h).  A whole-job plan's
+  /// factors are LAPACK-form already (Stats::plan says which).  A Float32
+  /// job writes its factors back into the caller's double matrix.  Call
+  /// exactly once, after every task of graph() executed, instead of
+  /// finish(team).  Engine counters and wall-clock attribution belong to
+  /// the caller that ran the graph.
+  Factorization finish_deferred();
+
+  /// finish_deferred() after the deferred left swaps, which run across
+  /// `team` (tiled plans only): LAPACK-form factors, as getrf returns
+  /// them.  A whole-job plan leaves `team` untouched.
   Factorization finish(sched::ThreadTeam& team);
 
   double plan_seconds() const;
@@ -251,12 +263,33 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt);
 
 /// Convenience: packs `a` into opt.layout, factors, and unpacks the
 /// combined L and U factors back into `a` (column-major, LAPACK getrf
-/// layout).
+/// layout).  opt.b < 1 throws std::invalid_argument (input_defect).
 Factorization getrf(layout::Matrix& a, const Options& opt);
 
 /// Session variant of the column-major convenience driver.
 Factorization getrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session);
+
+/// The one input check of the Matrix-level entry points: why a request
+/// on `a` (with right-hand side `rhs`, or none for a factor-only
+/// request) cannot run, or nullptr when it can.  Rejected: a null `a`;
+/// for a solve, an `a` that is not square or an rhs whose row count
+/// differs from a's; opt.b < 1.  getrf checks it with rhs = nullptr,
+/// gesv / gesv_mixed / batched_run per request, and sched::Service in
+/// submit(), so a malformed request throws on the caller before any
+/// work instead of failing inside a team or the dispatcher.
+const char* input_defect(const layout::Matrix* a, const layout::Matrix* rhs,
+                         const Options& opt);
+
+/// The Matrix-level factor step getrf(Matrix&) and the solve drivers
+/// share: resolves `opt` as getrf does (tune key, resolved_b), packs `a`
+/// into `packed` (ownership-ordered first touch) and factors it on
+/// `session`.  `lapack_form` applies the deferred left swaps, as getrf
+/// returns them; without them the factors stay in the deferred form the
+/// solve substitutes on (GetrfJob::finish_deferred).  `a` is only read.
+Factorization factor_packed(const layout::Matrix& a, const Options& opt,
+                            sched::Session& session,
+                            layout::PackedMatrix& packed, bool lapack_form);
 
 /// `opt` with the tuner's problem-size key stamped from the matrix shape
 /// (min(m, n)) when tuning is on and the caller left tune_n at 0 — the

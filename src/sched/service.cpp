@@ -1,6 +1,8 @@
 #include "src/sched/service.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/sched/parking.h"
@@ -62,6 +64,11 @@ void Service::notify_dispatcher() {
 }
 
 Submission Service::submit(ServiceRequest req) {
+  // A malformed request throws here, on the client, before the admission
+  // window: nothing is counted or queued, and the dispatcher never sees
+  // it.
+  if (const char* why = core::input_defect(req.a, req.rhs, req.options))
+    throw std::invalid_argument(std::string("Service::submit: ") + why);
   Submission out;
   submitters_.fetch_add(1, std::memory_order_seq_cst);
   // Everything below must reach the return through the matching

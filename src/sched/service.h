@@ -132,7 +132,10 @@ class Service {
   /// Enqueues a request (thread-safe, lock-free on the accepted path).
   /// On Accepted the returned future delivers the ServiceResponse; the
   /// request's on_complete (if any) fires first, on the dispatcher
-  /// thread.  Rejected/ShuttingDown requests fire neither.
+  /// thread.  Rejected/ShuttingDown requests fire neither.  A malformed
+  /// request (core::input_defect: null `a`, non-square solve, rhs row
+  /// mismatch, options.b < 1) throws std::invalid_argument here, before
+  /// admission: no counter moves, no future exists, no callback fires.
   Submission submit(ServiceRequest req);
 
   /// Blocks until every request accepted so far has completed.

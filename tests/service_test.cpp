@@ -13,6 +13,7 @@
 #include <atomic>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -310,6 +311,38 @@ TEST(Service, CallbackExactlyOnce) {
   for (auto& f : futures) f.get();
   svc.stop();
   for (int i = 0; i < kJobs; ++i) EXPECT_EQ(fired[i].load(), 1) << i;
+}
+
+TEST(Service, MalformedRequestThrowsOnTheClientAndTheServiceLivesOn) {
+  // A tile size of 0 or a null matrix used to reach the dispatcher and end
+  // the process from there.  submit() now rejects both on the client,
+  // before admission: nothing is counted, no future exists, and the
+  // callback never fires.  A valid request submitted next completes.
+  Matrix a = Matrix::random(48, 48, 7700);
+  const Matrix b = Matrix::random(48, 1, 7701);
+  std::atomic<int> fired{0};
+  auto count = [&fired](const ServiceResponse&) { fired.fetch_add(1); };
+  Options zero_b = request_options();
+  zero_b.b = 0;
+
+  Service svc(small_service());
+  const ServiceRequest bad[] = {{&a, &b, zero_b, count},
+                                {nullptr, &b, request_options(), count}};
+  for (const ServiceRequest& req : bad)
+    EXPECT_THROW(svc.submit(req), std::invalid_argument);
+  for (PriorityClass cls : {PriorityClass::Interactive, PriorityClass::Batch}) {
+    const sched::ServiceCounters c = svc.counters(cls);
+    EXPECT_EQ(c.accepted, 0u);
+    EXPECT_EQ(c.rejected, 0u);
+    EXPECT_EQ(c.completed, 0u);
+  }
+
+  Submission good = svc.submit({&a, &b, request_options(), count});
+  ASSERT_EQ(good.status, SubmitStatus::Accepted);
+  EXPECT_LT(good.response.get().result.residual, 1e-13);
+  svc.drain();
+  EXPECT_EQ(fired.load(), 1);
+  EXPECT_EQ(svc.counters(PriorityClass::Interactive).completed, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,13 @@
 // solve_test.cpp — getrs, residual metric, gesv with refinement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
 #include "src/core/solve.h"
@@ -220,23 +227,133 @@ TEST(GesvMixed, IllConditionedFallsBackToFullDouble) {
   EXPECT_EQ(res.factorization.stats.precision, core::Precision::Double);
 }
 
+/// ‖A X − B‖∞ / (‖A‖∞ ‖X‖∞ + ‖B‖∞), computed here so a broken library
+/// residual cannot vouch for itself.
+double backward_error(const Matrix& a, const Matrix& x, const Matrix& b) {
+  const int n = a.rows();
+  double rmax = 0.0, amax = 0.0, xmax = 0.0, bmax = 0.0;
+  for (int i = 0; i < n; ++i) {
+    double arow = 0.0;
+    for (int j = 0; j < n; ++j) arow += std::fabs(a(i, j));
+    amax = std::max(amax, arow);
+    double rrow = 0.0, xrow = 0.0, brow = 0.0;
+    for (int c = 0; c < b.cols(); ++c) {
+      double r = -b(i, c);
+      for (int j = 0; j < n; ++j) r += a(i, j) * x(j, c);
+      if (!std::isfinite(r)) return std::numeric_limits<double>::quiet_NaN();
+      rrow += std::fabs(r);
+      xrow += std::fabs(x(i, c));
+      brow += std::fabs(b(i, c));
+    }
+    rmax = std::max(rmax, rrow);
+    xmax = std::max(xmax, xrow);
+    bmax = std::max(bmax, brow);
+  }
+  const double denom = amax * xmax + bmax;
+  return denom > 0.0 ? rmax / denom : rmax;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * a.rows() * a.cols()) == 0;
+}
+
 TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
-  const int n = 96;
-  Matrix a = Matrix::random(n, n, 312);
-  Matrix b = Matrix::random(n, 1, 313);
-  for (core::Schedule s : {core::Schedule::Static, core::Schedule::Dynamic,
-                           core::Schedule::Hybrid}) {
+  // gesv and gesv_mixed solve on the packed factors as the engine leaves
+  // them.  n = 64 is a whole-job plan (LAPACK-form factors); 96, 150 and
+  // 257 run the tiled DAG in its deferred form, the last two with ragged
+  // edge tiles.  Every case must meet the benchmark's backward-error
+  // bound, pivot exactly as getrf does with the same Options, and leave
+  // a and b untouched bit for bit.
+  const struct {
+    int n, b;
+    core::PlanKind plan;
+  } shapes[] = {{64, 16, core::PlanKind::WholeJob},
+                {96, 16, core::PlanKind::Tiled},
+                {150, 48, core::PlanKind::Tiled},
+                {257, 32, core::PlanKind::Tiled}};
+  const core::Schedule schedules[] = {
+      core::Schedule::Static, core::Schedule::Dynamic, core::Schedule::Hybrid};
+  int seed = 312;
+  for (const auto& shape : shapes)
     for (layout::Layout l : {layout::Layout::BlockCyclic,
                              layout::Layout::TwoLevelBlock,
-                             layout::Layout::ColumnMajor}) {
-      Options o = small_opts();
-      o.schedule = s;
-      o.layout = l;
-      auto res = core::gesv(a, b, o);
-      EXPECT_LT(res.residual, 1e-13)
-          << core::schedule_name(s) << "/" << layout::layout_name(l);
-    }
+                             layout::Layout::ColumnMajor})
+      for (int threads : {1, 2, 4})
+        for (int nrhs : {1, 3}) {
+          const core::Schedule s = schedules[seed % 3];
+          SCOPED_TRACE("n=" + std::to_string(shape.n) + " b=" +
+                       std::to_string(shape.b) + " " +
+                       layout::layout_name(l) + " threads=" +
+                       std::to_string(threads) + " nrhs=" +
+                       std::to_string(nrhs) + " " + core::schedule_name(s));
+          const Matrix a = Matrix::random(shape.n, shape.n, ++seed);
+          const Matrix b = Matrix::random(shape.n, nrhs, ++seed);
+          const Matrix a0 = a, b0 = b;
+          Options o = small_opts();
+          o.b = shape.b;
+          o.threads = threads;
+          o.layout = l;
+          o.schedule = s;
+          const double bound =
+              100.0 * shape.n * std::numeric_limits<double>::epsilon();
+
+          const core::SolveResult res = core::gesv(a, b, o);
+          EXPECT_LT(res.residual, 1e-13);
+          EXPECT_LE(backward_error(a, res.x, b), bound);
+          EXPECT_EQ(res.factorization.stats.plan, shape.plan);
+          Matrix lu = a;
+          EXPECT_EQ(res.factorization.ipiv, core::getrf(lu, o).ipiv);
+
+          const core::SolveResult mixed = core::gesv_mixed(a, b, o);
+          EXPECT_LE(backward_error(a, mixed.x, b), bound);
+
+          EXPECT_TRUE(same_bits(a, a0));
+          EXPECT_TRUE(same_bits(b, b0));
+        }
+}
+
+TEST(Gesv, MalformedInputsThrowAndLeaveInputsUntouched) {
+  const Matrix square = Matrix::random(48, 48, 320);
+  const Matrix tall = Matrix::random(48, 40, 321);
+  const Matrix rhs48 = Matrix::random(48, 1, 322);
+  const Matrix rhs40 = Matrix::random(40, 1, 323);
+  Options zero_b = small_opts();
+  zero_b.b = 0;
+  Options negative_b = small_opts();
+  negative_b.b = -4;
+  const struct {
+    const char* what;
+    const Matrix& a;
+    const Matrix& b;
+    Options opt;
+  } cases[] = {{"non-square", tall, rhs48, small_opts()},
+               {"rhs row mismatch", square, rhs40, small_opts()},
+               {"b = 0", square, rhs48, zero_b},
+               {"b < 0", square, rhs48, negative_b}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    const Matrix a0 = c.a, b0 = c.b;
+    EXPECT_THROW(core::gesv(c.a, c.b, c.opt), std::invalid_argument);
+    EXPECT_THROW(core::gesv_mixed(c.a, c.b, c.opt), std::invalid_argument);
+    EXPECT_TRUE(same_bits(c.a, a0));
+    EXPECT_TRUE(same_bits(c.b, b0));
   }
+
+  // getrs takes factors, pivots and a right-hand side from the caller.
+  Matrix lu = square;
+  const core::Factorization f = core::getrf(lu, small_opts());
+  Matrix short_rhs = rhs40;
+  EXPECT_THROW(core::getrs(lu, f.ipiv, short_rhs), std::invalid_argument);
+  EXPECT_TRUE(same_bits(short_rhs, rhs40));
+
+  // getrf(Matrix&) checks only the tile size: a non-square matrix is a
+  // valid factorization.
+  Matrix a = tall;
+  EXPECT_THROW(core::getrf(a, zero_b), std::invalid_argument);
+  EXPECT_TRUE(same_bits(a, tall));
+  EXPECT_EQ(core::getrf(a, small_opts()).ipiv.size(), 40u);
 }
 
 }  // namespace
