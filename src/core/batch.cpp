@@ -46,21 +46,37 @@ void take(BatchJobResult& out, SolveResult&& sr) {
   out.used_fallback = sr.used_fallback;
 }
 
-/// fn(job) for every job index across the team.  A throw must not escape
-/// a team thread: the first one is kept and rethrown here, on the caller.
-void for_each_job(sched::ThreadTeam& team, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  std::exception_ptr first;
-  std::mutex mu;
-  team.parallel_for(static_cast<int>(n), [&](int i) {
+/// The first exception thrown on a team thread, kept for the caller: a
+/// throw must not escape a team thread.
+class FirstError {
+ public:
+  template <class F>
+  void guard(F&& fn) noexcept {
     try {
-      fn(static_cast<std::size_t>(i));
+      fn();
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!first) first = std::current_exception();
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!first_) first_ = std::current_exception();
     }
-  });
-  if (first) std::rethrow_exception(first);
+  }
+  void rethrow() const {
+    if (first_) std::rethrow_exception(first_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::exception_ptr first_;
+};
+
+/// fn(job) for every job index in `ids` across the team; the first throw
+/// is rethrown here, on the caller.  One index or none runs inline, with
+/// no team region.
+void for_each_job(sched::ThreadTeam& team, const std::vector<std::size_t>& ids,
+                  const std::function<void(std::size_t)>& fn) {
+  FirstError err;
+  team.parallel_for(static_cast<int>(ids.size()),
+                    [&](int k) { err.guard([&] { fn(ids[k]); }); });
+  err.rethrow();
 }
 
 /// Sequential mode: one engine run per job, submission order — exactly
@@ -96,10 +112,11 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
 
 /// Fused mode: prepare every job through the same GetrfJob seam getrf
 /// uses, merge all graphs into one engine run via Session::run_fused,
-/// then run each job's epilogue: a factor-only job's left swaps and
-/// unpack, a solve job's solve + refinement on its packed factors.  The
-/// per-job prologue and epilogue run across the team, one job per
-/// thread at a time; neither re-enters the session.
+/// then run each job's epilogue: a factor-only job's unpack, a solve
+/// job's solve + refinement on its packed factors.  A whole-job job's
+/// one task runs its prologue, factorization and epilogue back to back;
+/// the tiled jobs' prologue and epilogue each run across the team, one
+/// job per thread at a time.  Neither re-enters the session.
 BatchRunResult run_fused(std::vector<BatchJob>& jobs,
                          sched::Session& session) {
   BatchRunResult res;
@@ -143,28 +160,79 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // The fused path owns the packing, like getrf.
   for (BatchJob& job : jobs) job.options.b = job.options.resolved_b();
 
-  // Prologue: pack and plan each job with its own Options, straight
-  // from the caller's matrix.  A job is packed whole by the team thread
-  // that prepares it, so there is no owner runner (it would re-enter the
-  // team).  Sized up front — GetrfJob keeps a reference to its
-  // PackedMatrix element.
   const std::size_t n = jobs.size();
   sched::ThreadTeam& team = session.team();
+  // Sized up front: GetrfJob keeps a reference to its PackedMatrix
+  // element.
   std::vector<layout::PackedMatrix> packed(n);
   std::vector<std::optional<GetrfJob>> prepared(n);
-  for_each_job(team, n, [&](std::size_t i) {
-    const Options& o = jobs[i].options;
-    packed[i] = layout::PackedMatrix::pack(*jobs[i].a, o.layout, o.b,
-                                           o.resolved_grid());
-    prepared[i].emplace(packed[i], o);
-  });
+  std::vector<char> whole(n), rejected(n, 0);
+  std::vector<std::size_t> tiled;
+  for (std::size_t i = 0; i < n; ++i) {
+    whole[i] = plan_kind(jobs[i].a->rows(), jobs[i].a->cols()) ==
+               PlanKind::WholeJob;
+    if (!whole[i]) tiled.push_back(i);
+  }
 
+  // A job's prologue: pack and plan it with its own Options, straight
+  // from the caller's matrix.  The job is packed whole by the thread
+  // that prepares it, so there is no owner runner (it would re-enter the
+  // team).
+  auto prepare = [&](std::size_t i) {
+    packed[i] = pack_for_plan(*jobs[i].a, jobs[i].options);
+    prepared[i].emplace(packed[i], jobs[i].options);
+  };
+  // A job's epilogue: unpack a factor-only job's LAPACK-form factors;
+  // finish a solve job in the deferred form and run the same
+  // solve_factored() refinement gesv runs on its packed factors —
+  // bit-identity with the sequential path is shared code, not a
+  // re-implementation.  A Float32 job whose factors refine_float rejects
+  // is re-solved in double after the run, on the caller, because the
+  // re-solve runs on the session.
+  auto complete = [&](std::size_t i) {
+    const BatchJob& job = jobs[i];
+    if (job.rhs == nullptr) {
+      // A tiled job's finish() ran on the caller; a whole-job plan's
+      // factors are LAPACK-form already.
+      if (whole[i]) res.jobs[i].factorization = prepared[i]->finish_deferred();
+      packed[i].unpack(*job.a);
+      return;
+    }
+    SolveResult sr;
+    sr.factorization = prepared[i]->finish_deferred();
+    if (job.options.precision == Precision::Float32)
+      rejected[i] = !refine_float(*job.a, *job.rhs, packed[i], job.options, sr);
+    else
+      solve_factored(*job.a, *job.rhs, packed[i], job.options.max_refine, sr);
+    take(res.jobs[i], std::move(sr));
+  };
+
+  // A whole-job job's one task runs its prologue, factorization and
+  // epilogue back to back on one thread.
+  FirstError whole_err;
+  auto run_whole = [&](std::size_t i, int id, int tid) {
+    whole_err.guard([&] {
+      prepare(i);
+      prepared[i]->exec(id, tid);
+      complete(i);
+    });
+  };
+
+  for_each_job(team, tiled, prepare);
   std::vector<sched::FusedJob> fused(n);
   for (std::size_t i = 0; i < n; ++i) {
-    fused[i].graph = &prepared[i]->graph();
-    fused[i].exec = [&prepared, i](int id, int tid) {
-      prepared[i]->exec(id, tid);
-    };
+    if (whole[i]) {
+      fused[i].graph =
+          &GetrfJob::whole_job_graph(jobs[i].options.priority_class);
+      fused[i].exec = [&run_whole, i](int id, int tid) {
+        run_whole(i, id, tid);
+      };
+    } else {
+      fused[i].graph = &prepared[i]->graph();
+      fused[i].exec = [&prepared, i](int id, int tid) {
+        prepared[i]->exec(id, tid);
+      };
+    }
     fused[i].on_complete = jobs[i].on_complete;
   }
 
@@ -172,45 +240,25 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   sched::RunHooks hooks =
       run_hooks_from(jobs[0].options, session.threads(), injector);
   sched::FusedRunResult fr = session.run_fused(fused, hooks, engine);
+  whole_err.rethrow();
+
+  // Factor-only tiled jobs return LAPACK-form factors.  Their finish()
+  // runs the deferred left swaps across the team, so it stays on the
+  // caller.
+  for (std::size_t i : tiled)
+    if (jobs[i].rhs == nullptr)
+      res.jobs[i].factorization = prepared[i]->finish(team);
+  for_each_job(team, tiled, complete);
 
   // The job's share of the fused run, stamped over its finish() stats.
-  auto attribute = [&fr](std::size_t i, Factorization& f) {
-    f.stats.engine.static_pops = fr.jobs[i].static_pops;
-    f.stats.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
-    f.stats.engine.elapsed = fr.jobs[i].completed_at;
-    f.stats.factor_seconds = fr.jobs[i].completed_at;
-  };
-  // Factor-only jobs return LAPACK-form factors.  Their finish() runs the
-  // deferred left swaps across the team, so it stays on the caller.
   for (std::size_t i = 0; i < n; ++i) {
+    Stats& st = res.jobs[i].factorization.stats;
+    st.engine.static_pops = fr.jobs[i].static_pops;
+    st.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
+    st.engine.elapsed = fr.jobs[i].completed_at;
+    st.factor_seconds = fr.jobs[i].completed_at;
     res.jobs[i].completed_at = fr.jobs[i].completed_at;
-    if (jobs[i].rhs != nullptr) continue;
-    res.jobs[i].factorization = prepared[i]->finish(team);
-    attribute(i, res.jobs[i].factorization);
   }
-
-  // Epilogue across the team: unpack a factor-only job; finish a solve
-  // job in the deferred form and run the same solve_factored()
-  // refinement gesv runs on its packed factors — bit-identity with the
-  // sequential path is shared code, not a re-implementation.  A Float32
-  // job whose factors refine_float rejects is re-solved in double after
-  // the section, on the caller, because the re-solve runs on the session.
-  std::vector<char> rejected(n, 0);
-  for_each_job(team, n, [&](std::size_t i) {
-    const BatchJob& job = jobs[i];
-    if (job.rhs == nullptr) {
-      packed[i].unpack(*job.a);
-      return;
-    }
-    SolveResult sr;
-    sr.factorization = prepared[i]->finish_deferred();
-    attribute(i, sr.factorization);
-    if (job.options.precision == Precision::Float32)
-      rejected[i] = !refine_float(*job.a, *job.rhs, packed[i], job.options, sr);
-    else
-      solve_factored(*job.a, *job.rhs, packed[i], job.options.max_refine, sr);
-    take(res.jobs[i], std::move(sr));
-  });
   // On fallback the whole result — fused attribution included — is
   // replaced by the double re-solve's stats: the factors the caller gets
   // really did come from that run, not the fused one.

@@ -3,34 +3,30 @@
 // through one persistent session, either FUSED into a single engine run
 // or sequentially.
 //
-// Small-matrix and many-RHS traffic (the LU-QR-hybrid batching regime,
-// arXiv:1401.5522) is dominated by per-call overhead — thread spawn,
-// engine construction, plan allocation — not flops.  PR 5 amortized the
-// spawn (one sched::Session serves every job); the fused mode goes
-// further and amortizes the *scheduling*: every job's task graph is
-// merged into one fused DAG (sched::Session::run_fused) executed by a
-// single engine run, so engines steal across jobs and one job's DAG tail
-// overlaps the next job's panel work instead of draining to a barrier.
-// Jobs below core::kWholeJobFlops contribute one whole-job task each, so
-// a fused batch of small jobs runs whole jobs in parallel across the
-// team.  The per-job work around the engine run also runs across the
-// team, one job per thread at a time: pack and plan before it, straight
-// from the caller's matrix; after it, a factor-only job's unpack (its
-// deferred left swaps run on the caller first, across the team, because
-// it returns LAPACK-form factors) or a solve job's solve and refinement
-// on its packed factors in the deferred form, with no copy, left swaps
-// or unpack (see core/solve.h for why that is exact).  Each job is
-// packed whole by one thread, so Options::first_touch does not apply to
-// fused batches.
+// Small-matrix and many-RHS traffic (the batching regime of
+// arXiv:1401.5522) is dominated by per-call overhead, not flops.  One
+// sched::Session serves every job, and the fused mode merges every job's
+// task graph into one engine run (sched::Session::run_fused), so engines
+// steal across jobs and one job's DAG tail overlaps the next job's work.
+// Where a job's stages run depends on its plan (core::plan_kind):
+//  - A whole-job job (at or below core::kWholeJobFlops) is one task that
+//    runs its pack into one column-major buffer, plan, recursive-GEPP
+//    factorization and solve (or unpack) back to back on one thread.
+//  - A tiled job is packed and planned before the run and solved or
+//    unpacked after it, each across the team, one job per thread at a
+//    time (a factor-only job's deferred left swaps run on the caller
+//    first, across the team, because it returns LAPACK-form factors).
+//    These two team regions start only when the batch holds tiled jobs.
+// A solve job solves on its packed factors in the form the engine left
+// them (core/solve.h).  Each job is packed whole by one thread, so
+// Options::first_touch does not apply to fused batches.
 //
 // Fusion is purely a scheduling change: each job executes exactly the
 // task bodies its one-shot driver would run with the same Options
 // (prepared through the same core::GetrfJob seam getrf uses), so per-job
 // results are bit-identical across Fused / Sequential / one-shot for
 // every registered engine — tests/batch_test.cpp holds that matrix,
-// including under the TSan stress lane.  bench/batch_throughput.cpp
-// measures both modes (BENCH_batch.json, with open-loop latency
-// percentiles).
+// including under the TSan stress lane.
 #pragma once
 
 #include <functional>
@@ -62,9 +58,9 @@ namespace calu::core {
 ///
 /// `on_complete(job_index)` fires when the job's last DAG task retires.
 /// In fused mode that happens on a worker thread while other jobs may
-/// still be executing — treat it as a scheduling-progress signal (the
-/// solve/unpack epilogue runs afterwards; full results are available when
-/// batched_run returns).  Sequential mode fires it on the caller thread
+/// still be executing — treat it as a scheduling-progress signal (a
+/// tiled job's solve/unpack runs afterwards; full results are available
+/// when batched_run returns).  Sequential mode fires it on the caller thread
 /// after the job's DAG run.
 struct BatchJob {
   layout::Matrix* a = nullptr;
@@ -103,8 +99,9 @@ struct BatchJobResult {
   /// Pivots + stats.  In fused mode the per-job engine counters carry the
   /// attribution split out of the fused run (this job's static/dynamic
   /// pops; elapsed and factor_seconds hold the job's completion latency
-  /// within the run), and gflops is left 0 — exclusive per-job compute
-  /// time does not exist inside a fused run.
+  /// within the run, which for a whole-job job includes its pack and
+  /// solve), and gflops is left 0 — exclusive per-job compute time does
+  /// not exist inside a fused run.
   Factorization factorization;
   layout::Matrix x;           ///< solution, for jobs submitted with an rhs
   int refine_steps = 0;       ///< refinement steps taken (rhs jobs)

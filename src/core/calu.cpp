@@ -9,6 +9,7 @@
 #include "src/core/calu.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -47,7 +48,7 @@ util::AlignedBufferT<T>& tl_s_bbuf() {
   return buf;
 }
 
-// Per-thread column-major scratch for the whole-job task.
+// Per-thread column-major scratch for a whole-job task on a tiled layout.
 template <class T>
 util::AlignedBufferT<T>& tl_whole_buf() {
   thread_local util::AlignedBufferT<T> buf;
@@ -153,32 +154,41 @@ void Runtime<T>::exec(int id, int tid) {
 
 template <class T>
 void Runtime<T>::exec_whole() {
-  // Gather the tiles into one column-major scratch, run recursive GEPP on
-  // it, scatter back.  getrf_recursive applies every row swap across full
-  // rows (LAPACK getrf), so no deferred left swaps remain for finish().
+  // Recursive GEPP over the whole matrix.  getrf_recursive applies every
+  // row swap across full rows (LAPACK getrf), so no deferred left swaps
+  // remain for finish().  The drivers pack a whole-job shape column-major
+  // (pack_for_plan), which is factored in place; a caller-packed tiled
+  // layout is gathered into a column-major scratch and scattered back.
   const layout::Tiling& tl = plan_.tiling;
   const int m = tl.m, n = tl.n;
-  util::AlignedBufferT<T>& buf = tl_whole_buf<T>();
-  buf.reserve(static_cast<std::size_t>(m) * n);
-  auto copy_tiles = [&](bool to_tiles) {
-    for (int J = 0; J < tl.nb(); ++J)
-      for (int I = 0; I < tl.mb(); ++I) {
-        const layout::BlockRefT<T> blk = a_.block(I, J);
-        for (int j = 0; j < blk.cols; ++j) {
-          T* tile = blk.ptr + static_cast<std::size_t>(j) * blk.ld;
-          T* dense = buf.data() + tl.row0(I) +
-                     static_cast<std::size_t>(tl.col0(J) + j) * m;
-          if (to_tiles)
-            std::copy_n(dense, blk.rows, tile);
-          else
-            std::copy_n(tile, blk.rows, dense);
-        }
-      }
-  };
-  copy_tiles(false);
   std::vector<int> ipiv(std::min(m, n));
-  blas::getrf_recursive(m, n, buf.data(), m, ipiv.data());
-  copy_tiles(true);
+  if (a_.layout() == layout::Layout::ColumnMajor) {
+    if (!ipiv.empty()) {
+      const layout::BlockRefT<T> all = a_.block(0, 0);
+      blas::getrf_recursive(m, n, all.ptr, all.ld, ipiv.data());
+    }
+  } else {
+    util::AlignedBufferT<T>& buf = tl_whole_buf<T>();
+    buf.reserve(static_cast<std::size_t>(m) * n);
+    auto copy_tiles = [&](bool to_tiles) {
+      for (int J = 0; J < tl.nb(); ++J)
+        for (int I = 0; I < tl.mb(); ++I) {
+          const layout::BlockRefT<T> blk = a_.block(I, J);
+          for (int j = 0; j < blk.cols; ++j) {
+            T* tile = blk.ptr + static_cast<std::size_t>(j) * blk.ld;
+            T* dense = buf.data() + tl.row0(I) +
+                       static_cast<std::size_t>(tl.col0(J) + j) * m;
+            if (to_tiles)
+              std::copy_n(dense, blk.rows, tile);
+            else
+              std::copy_n(tile, blk.rows, dense);
+          }
+        }
+    };
+    copy_tiles(false);
+    blas::getrf_recursive(m, n, buf.data(), m, ipiv.data());
+    copy_tiles(true);
+  }
   // Keep the tiled plan's per-panel split of the pivots (take_ipiv).
   for (int k = 0; k < plan_.npanels; ++k) {
     const int lo = tl.row0(k);
@@ -376,6 +386,14 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Batch-class jobs cede the priority-lookahead urgent queue: the flag
+/// rides through TaskGraph::append verbatim, so a fused run keeps the
+/// promotion fast lane exclusive to its Interactive jobs.
+void cede_promotion(sched::TaskGraph& g, PriorityClass c) {
+  if (c != PriorityClass::Batch) return;
+  for (int t = 0; t < g.num_tasks(); ++t) g.task(t).promotable = false;
+}
+
 }  // namespace
 
 const char* schedule_name(Schedule s) {
@@ -496,6 +514,11 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
   return hooks;
 }
 
+PlanKind plan_kind(int m, int n) {
+  return model::lu_flops(m, n) <= kWholeJobFlops ? PlanKind::WholeJob
+                                                 : PlanKind::Tiled;
+}
+
 struct GetrfJob::Impl {
   CaluPlan plan;
   Precision precision;
@@ -510,12 +533,13 @@ struct GetrfJob::Impl {
   double flops = 0.0;
 
   Impl(layout::PackedMatrix& a, const Options& opt)
-      : plan(model::lu_flops(a.tiling().m, a.tiling().n) <= kWholeJobFlops
+      : plan(plan_kind(a.tiling().m, a.tiling().n) == PlanKind::WholeJob
                  ? build_whole_job_plan(a.tiling(), a.grid())
                  : build_plan(a.tiling(), a.grid(), a.layout(),
                               opt.resolved_dratio(), opt.group_factor,
                               opt.pack_panels)),
         precision(opt.precision) {
+    cede_promotion(plan.graph, opt.priority_class);
     if (precision == Precision::Float32) {
       caller = &a;
       a32 = layout::PackedMatrixT<float>::convert_from(a);
@@ -535,13 +559,6 @@ GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt_in) {
   const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
   const auto t0 = std::chrono::steady_clock::now();
   impl_ = std::make_unique<Impl>(a, opt);
-  if (opt.priority_class == PriorityClass::Batch) {
-    // Batch-class jobs cede the priority-lookahead urgent queue: the flag
-    // rides through TaskGraph::append verbatim, so a fused run keeps the
-    // promotion fast lane exclusive to its Interactive jobs.
-    sched::TaskGraph& g = impl_->plan.graph;
-    for (int t = 0; t < g.num_tasks(); ++t) g.task(t).promotable = false;
-  }
   impl_->plan_seconds = seconds_since(t0);
   impl_->flops = model::lu_flops(a.tiling().m, a.tiling().n);
 }
@@ -551,6 +568,16 @@ GetrfJob::GetrfJob(GetrfJob&&) noexcept = default;
 GetrfJob& GetrfJob::operator=(GetrfJob&&) noexcept = default;
 
 const sched::TaskGraph& GetrfJob::graph() const { return impl_->plan.graph; }
+
+const sched::TaskGraph& GetrfJob::whole_job_graph(PriorityClass c) {
+  static const std::array<CaluPlan, 2> plans = [] {
+    std::array<CaluPlan, 2> p{build_whole_job_plan({}, {}),
+                              build_whole_job_plan({}, {})};
+    cede_promotion(p[1].graph, PriorityClass::Batch);
+    return p;
+  }();
+  return plans[c == PriorityClass::Batch].graph;
+}
 
 void GetrfJob::exec(int id, int tid) {
   if (impl_->rt32)
@@ -650,6 +677,15 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt) {
   return getrf(a, opt, ephemeral);
 }
 
+layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
+                                   const layout::OwnerRunner& place) {
+  if (plan_kind(a.rows(), a.cols()) == PlanKind::WholeJob)
+    return layout::PackedMatrix::pack(a, layout::Layout::ColumnMajor, opt.b,
+                                      opt.resolved_grid());
+  return layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
+                                    place);
+}
+
 Factorization factor_packed(const layout::Matrix& a, const Options& opt_in,
                             sched::Session& session,
                             layout::PackedMatrix& packed, bool lapack_form) {
@@ -658,9 +694,7 @@ Factorization factor_packed(const layout::Matrix& a, const Options& opt_in,
   // the pack (GetrfJob's b-match contract then holds by construction).
   Options opt = with_tune_key(opt_in, a.rows(), a.cols());
   opt.b = opt.resolved_b();
-  packed = layout::PackedMatrix::pack(a, opt.layout, opt.b,
-                                      opt.resolved_grid(),
-                                      owner_runner_from(opt, session.team()));
+  packed = pack_for_plan(a, opt, owner_runner_from(opt, session.team()));
   return run_job(packed, opt, session, lapack_form);
 }
 

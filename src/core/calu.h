@@ -67,14 +67,19 @@ const char* priority_class_name(PriorityClass c);
 enum class PlanKind : std::uint8_t { Tiled, WholeJob };
 
 /// The plan-shape crossover: a job with model::lu_flops(m, n) at most
-/// this builds a WholeJob plan.  The rule reads only (m, n), never the
-/// tile size, threads, engine, layout or precision, so every entry point
-/// and engine agrees on a job's plan.  The measured sweep in
+/// this builds a WholeJob plan.  The measured sweep in
 /// docs/ARCHITECTURE.md ("Whole-job plans") found the whole-job plan
 /// faster at every n up to 256; the constant stays below
 /// lu_flops(150, 60) = 0.468 MFlop so the conformance shapes the tests
 /// pin to the tiled DAG keep running it.  It covers squares up to n = 87.
 inline constexpr double kWholeJobFlops = 0.45e6;
+
+/// The plan-shape rule, in the one place GetrfJob, factor_packed and the
+/// fused batch ask it: WholeJob when model::lu_flops(m, n) <=
+/// kWholeJobFlops, else Tiled.  It reads only (m, n), never the tile
+/// size, threads, engine, layout or precision, so every entry point and
+/// engine agrees on a job's plan.
+PlanKind plan_kind(int m, int n);
 
 /// Autotuning policy for the {dratio, b, engine, lookahead_depth} knobs
 /// (ROADMAP item 5; src/tune/autotuner.h).  Off uses the fields as set.
@@ -90,6 +95,7 @@ struct Options {
   int b = 100;                // tile size (the paper uses b = 100)
   double dratio = 0.10;       // fraction of panels scheduled dynamically
   Schedule schedule = Schedule::Hybrid;
+  // Storage of tiled shapes; whole-job shapes run column-major.
   layout::Layout layout = layout::Layout::BlockCyclic;
   int threads = 0;            // 0 = all hardware threads
   int pr = 0, pc = 0;         // thread grid; 0 = near-square auto
@@ -204,7 +210,7 @@ class GetrfJob {
   /// Builds the plan and runtime for `a`, which must have been packed
   /// with opt.b and opt.resolved_grid() and must outlive the job.  The
   /// plan is the tiled CALU DAG, or the one-task whole-job plan when
-  /// model::lu_flops(m, n) <= kWholeJobFlops (Stats::plan says which).  With
+  /// plan_kind(m, n) says so (Stats::plan says which).  With
   /// opt.precision == Float32 the tasks run on an internally converted
   /// same-geometry float copy, and either finish writes the factors
   /// back into `a` (float -> double conversion is exact, so `a` then
@@ -217,6 +223,11 @@ class GetrfJob {
   /// The job's finalized task graph.  Ids are job-local: when fused, the
   /// session translates fused ids back before calling exec().
   const sched::TaskGraph& graph() const;
+
+  /// The graph every whole-job plan of class `c` has: one task.  A fused
+  /// batch schedules it for a whole-job job before that job is packed,
+  /// and prepares the job inside the task.
+  static const sched::TaskGraph& whole_job_graph(PriorityClass c);
 
   /// Executes one task (job-local id).  Thread-safe under the engine's
   /// dependency ordering, like any task body.
@@ -261,7 +272,7 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt,
 /// and torn down).
 Factorization getrf(layout::PackedMatrix& a, const Options& opt);
 
-/// Convenience: packs `a` into opt.layout, factors, and unpacks the
+/// Convenience: packs `a` (pack_for_plan), factors, and unpacks the
 /// combined L and U factors back into `a` (column-major, LAPACK getrf
 /// layout).  opt.b < 1 throws std::invalid_argument (input_defect).
 Factorization getrf(layout::Matrix& a, const Options& opt);
@@ -281,12 +292,20 @@ Factorization getrf(layout::Matrix& a, const Options& opt,
 const char* input_defect(const layout::Matrix* a, const layout::Matrix* rhs,
                          const Options& opt);
 
+/// Packs `a` (with opt.b and opt.resolved_grid()) for the plan its
+/// shape gets: a whole-job shape into one column-major buffer, which its
+/// one task factors in place, whatever opt.layout says; a tiled shape
+/// into opt.layout, through `place`.
+layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
+                                   const layout::OwnerRunner& place = {});
+
 /// The Matrix-level factor step getrf(Matrix&) and the solve drivers
 /// share: resolves `opt` as getrf does (tune key, resolved_b), packs `a`
-/// into `packed` (ownership-ordered first touch) and factors it on
-/// `session`.  `lapack_form` applies the deferred left swaps, as getrf
-/// returns them; without them the factors stay in the deferred form the
-/// solve substitutes on (GetrfJob::finish_deferred).  `a` is only read.
+/// into `packed` (pack_for_plan; a tiled shape with ownership-ordered
+/// first touch) and factors it on `session`.  `lapack_form` applies the
+/// deferred left swaps, as getrf returns them; without them the factors
+/// stay in the deferred form the solve substitutes on
+/// (GetrfJob::finish_deferred).  `a` is only read.
 Factorization factor_packed(const layout::Matrix& a, const Options& opt,
                             sched::Session& session,
                             layout::PackedMatrix& packed, bool lapack_form);

@@ -47,28 +47,25 @@ PackedMatrixT<T> pack_bcl(const Matrix& a, int b, Grid grid,
       p.local_tile_rows_[tid] = owned_tile_rows(t, grid, ti);
     }
   }
-  // Per-owner allocate + copy.  Owned tiles earlier in a column are
-  // always full (only the last global tile row/col can be partial), so
-  // local offsets are simple multiples of b.  Owners touch disjoint
-  // buffers and read disjoint tiles of `a`, so the owner fills are
-  // trivially parallel; the bits written are identical to the serial
-  // order (it is the same tile copies, permuted).
+  // Per-owner allocate + copy.  A BCL buffer has no padding: it is the
+  // owner's tile columns side by side, each the owner's tile rows
+  // stacked, so appending the owned column segments in storage order
+  // writes every element once, with no zero fill first.  Owners touch
+  // disjoint buffers and read disjoint tiles of `a`, so the owner fills
+  // are trivially parallel; the bits written are identical to the
+  // serial order (it is the same tile copies, permuted).
   auto fill_owner = [&](int tid) {
     const int ti = tid / grid.pc, tj = tid % grid.pc;
-    p.bufs_[tid].assign(static_cast<std::size_t>(p.local_rows_[tid]) *
-                            owned_cols(t, grid, tj),
-                        T(0));
-    for (int J = tj; J < t.nb(); J += grid.pc) {
-      for (int I = ti; I < t.mb(); I += grid.pr) {
-        BlockRefT<T> dst = p.block(I, J);
-        const double* src = a.data() + t.row0(I) +
-                            static_cast<std::size_t>(t.col0(J)) * a.ld();
-        for (int j = 0; j < dst.cols; ++j)
-          for (int i = 0; i < dst.rows; ++i)
-            dst.ptr[i + static_cast<std::size_t>(j) * dst.ld] =
-                static_cast<T>(src[i + static_cast<std::size_t>(j) * a.ld()]);
-      }
-    }
+    std::vector<T>& buf = p.bufs_[tid];
+    buf.reserve(static_cast<std::size_t>(p.local_rows_[tid]) *
+                owned_cols(t, grid, tj));
+    for (int J = tj; J < t.nb(); J += grid.pc)
+      for (int c = t.col0(J); c < t.col0(J) + t.tile_cols(J); ++c)
+        for (int I = ti; I < t.mb(); I += grid.pr) {
+          const double* src =
+              a.data() + t.row0(I) + static_cast<std::size_t>(c) * a.ld();
+          buf.insert(buf.end(), src, src + t.tile_rows(I));
+        }
   };
   if (place) {
     place(grid.size(), fill_owner);

@@ -62,6 +62,14 @@ class ThreadTeam {
   /// How many of the team's threads have verified pinning.
   int pinned_count() const;
 
+  /// Parallel regions dispatched so far: run() calls that woke the
+  /// workers (the epoch bumps).  A one-thread team's run() and an inline
+  /// parallel_for do not count.  A count, not a timing, so tests can
+  /// assert how many regions a call takes on any host.
+  std::uint32_t regions() const {
+    return epoch_.load(std::memory_order_relaxed);
+  }
+
   /// Hardware parallelism actually available to this process: the size
   /// of the sched_getaffinity cpu mask when the kernel reports one
   /// (cpusets/containers restrict it below the machine's core count),

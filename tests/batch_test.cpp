@@ -464,6 +464,50 @@ TEST(BatchedRun, FusedFloat32FallbackMatchesSequential) {
   }
 }
 
+TEST(BatchedRun, WholeJobJobsRunInsideTheEngineRunAlone) {
+  // A whole-job job packs, factors and solves inside its one task, so a
+  // fused batch of them takes one team region: the engine run.  Tiled
+  // jobs add a prologue and an epilogue region, and a lone small gesv
+  // packs column-major, with no owner-runner region.  Regions are
+  // counted, not timed, so this holds on any host.
+  sched::Session session(sched::SessionOptions{2, false});
+  const sched::ThreadTeam& team = session.team();
+  Options opt;
+  opt.b = 32;
+  opt.threads = 2;
+  opt.pin_threads = false;
+  auto regions_of = [&](const std::function<void()>& call) {
+    const std::uint32_t before = team.regions();
+    call();
+    return team.regions() - before;
+  };
+  auto solve_batch = [&](std::vector<Matrix>& as, std::vector<Matrix>& bs) {
+    std::vector<core::BatchJob> jobs = solve_jobs(as, bs, opt);
+    const core::BatchRunResult res =
+        core::batched_run(jobs, session, core::BatchMode::Fused);
+    for (const core::BatchJobResult& j : res.jobs) EXPECT_LT(j.residual, 1e-13);
+  };
+
+  std::vector<Matrix> as, bs;
+  for (int i = 0; i < 64; ++i) {
+    as.push_back(Matrix::diag_dominant(64, 2500 + i));
+    bs.push_back(Matrix::random(64, 1, 2600 + i));
+  }
+  ASSERT_EQ(core::plan_kind(64, 64), core::PlanKind::WholeJob);
+  EXPECT_EQ(regions_of([&] { solve_batch(as, bs); }), 1u);
+
+  std::vector<Matrix> mixed_as(as.begin(), as.begin() + 4);
+  std::vector<Matrix> mixed_bs(bs.begin(), bs.begin() + 4);
+  for (int i = 0; i < 2; ++i) {
+    mixed_as.push_back(Matrix::diag_dominant(96, 2700 + i));
+    mixed_bs.push_back(Matrix::random(96, 1, 2710 + i));
+  }
+  ASSERT_EQ(core::plan_kind(96, 96), core::PlanKind::Tiled);
+  EXPECT_EQ(regions_of([&] { solve_batch(mixed_as, mixed_bs); }), 3u);
+
+  EXPECT_EQ(regions_of([&] { core::gesv(as[0], bs[0], opt, session); }), 1u);
+}
+
 TEST(BatchedRun, MalformedJobsAreRejectedBeforeAnyWork) {
   // A malformed job between two good ones: batched_run must throw naming
   // it before packing or running anything, in either mode — no callback

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/blas/blas.h"
+#include "src/core/batch.h"
 #include "src/core/calu.h"
 #include "src/core/calu_dag.h"
 #include "src/core/solve.h"
@@ -446,26 +447,49 @@ TEST(CaluPlanKind, DependsOnlyOnTheShape) {
 }
 
 TEST(CaluPlanKind, WholeJobMatchesRecursiveGepp) {
-  // The whole-job task is blas::getrf_recursive on a column-major copy:
-  // pivots and factors must equal a direct call's, bit for bit, for
-  // square, tall and wide shapes.
+  // The whole-job task is blas::getrf_recursive, in place on the
+  // column-major buffer the drivers pack, or on a gather of a caller's
+  // tiled packing.  Every storage route must give a direct call's pivots
+  // and factors, bit for bit, for square, tall and wide shapes:
+  // getrf(Matrix&) under each Options::layout, getrf(PackedMatrix&) on
+  // caller-packed BCL and 2l-BL matrices, and a factor-only fused job.
   const struct {
     int m, n;
   } shapes[] = {{64, 64}, {96, 40}, {40, 96}};
   for (const auto& sh : shapes) {
     SCOPED_TRACE("m=" + std::to_string(sh.m) + " n=" + std::to_string(sh.n));
-    Matrix ref = Matrix::random(sh.m, sh.n, 71);
-    Matrix a = ref;
+    const Matrix a0 = Matrix::random(sh.m, sh.n, 71);
+    Matrix ref = a0;
     std::vector<int> ipiv(std::min(sh.m, sh.n));
     blas::getrf_recursive(sh.m, sh.n, ref.data(), ref.ld(), ipiv.data());
     Options o;
     o.b = 16;
     o.threads = 4;
     o.pin_threads = false;
-    Factorization f = core::getrf(a, o);
-    ASSERT_EQ(f.stats.plan, core::PlanKind::WholeJob);
-    EXPECT_EQ(f.ipiv, ipiv);
-    EXPECT_EQ(test::max_abs_diff(a, ref), 0.0);
+    auto expect_ref = [&](const Factorization& f, const Matrix& lu) {
+      EXPECT_EQ(f.stats.plan, core::PlanKind::WholeJob);
+      EXPECT_EQ(f.ipiv, ipiv);
+      EXPECT_EQ(test::max_abs_diff(lu, ref), 0.0);
+    };
+    for (Layout l :
+         {Layout::BlockCyclic, Layout::TwoLevelBlock, Layout::ColumnMajor}) {
+      SCOPED_TRACE(layout::layout_name(l));
+      o.layout = l;
+      Matrix a = a0;
+      expect_ref(core::getrf(a, o), a);
+      if (l == Layout::ColumnMajor) continue;
+      layout::PackedMatrix p =
+          layout::PackedMatrix::pack(a0, l, o.b, o.resolved_grid());
+      const Factorization f = core::getrf(p, o);
+      p.unpack(a);
+      expect_ref(f, a);
+    }
+    Matrix a = a0;
+    std::vector<core::BatchJob> jobs(1);
+    jobs[0].a = &a;
+    jobs[0].options = o;
+    sched::Session session(sched::SessionOptions{2, false});
+    expect_ref(core::batched_run(jobs, session).jobs[0].factorization, a);
   }
 }
 
