@@ -60,19 +60,19 @@ const char* priority_class_name(PriorityClass c);
 /// The shape of a job's task graph.  Tiled is the paper's CALU DAG
 /// (core::build_plan).  WholeJob is one dynamic task that factors the
 /// entire matrix with recursive GEPP (blas::getrf_recursive), for jobs
-/// at or below kWholeJobFlops: a 64x64 job has only two panels to divide,
-/// and its tournament, swap and update tasks cost more than the flops
-/// they schedule.  Both shapes run through the same engines, sessions and
-/// fused batches.
+/// at or below kWholeJobFlops: a 256x256 job at b = 64 has only four
+/// panels to divide, and its tournament, swap and update tasks cost more
+/// than the parallelism they buy.  Both shapes run through the same
+/// engines, sessions and fused batches.
 enum class PlanKind : std::uint8_t { Tiled, WholeJob };
 
 /// The plan-shape crossover: a job with model::lu_flops(m, n) at most
-/// this builds a WholeJob plan.  The measured sweep in
-/// docs/ARCHITECTURE.md ("Whole-job plans") found the whole-job plan
-/// faster at every n up to 256; the constant stays below
-/// lu_flops(150, 60) = 0.468 MFlop so the conformance shapes the tests
-/// pin to the tiled DAG keep running it.  It covers squares up to n = 87.
-inline constexpr double kWholeJobFlops = 0.45e6;
+/// this builds a WholeJob plan.  It is the largest flop count at which
+/// every cell of the sweep in docs/ARCHITECTURE.md ("Whole-job plans")
+/// favoured the one-task plan: lu_flops(256, 256) = 11.18 Mflop, so
+/// squares up to n = 256.  At n = 288 a lone 4-thread job at b = 32 ran
+/// faster tiled.
+inline constexpr double kWholeJobFlops = 11.2e6;
 
 /// The plan-shape rule, in the one place GetrfJob, factor_packed and the
 /// fused batch ask it: WholeJob when model::lu_flops(m, n) <=

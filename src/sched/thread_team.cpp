@@ -31,21 +31,20 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Pins `handle` to the single cpu `cpu`; returns whether the kernel
-/// accepted it.  The caller picks cpus from the affinity mask (via
-/// Topology::pin_order), which is what makes this correct under
-/// restricted cpusets: the old code pinned to absolute ids
-/// 0..hardware_concurrency-1, which under a container mask like {5,7}
-/// either fails (EINVAL) or lands every thread on the wrong cpu.
-bool pin_thread(std::thread::native_handle_type handle, int cpu) {
+/// Restricts `handle` to `cpus`; returns whether the kernel accepted
+/// it.  The team picks its cpus from the affinity mask (via
+/// Topology::pin_order), which keeps pinning correct under restricted
+/// cpusets such as a container mask of {5,7}.
+bool set_cpus(std::thread::native_handle_type handle,
+              const std::vector<int>& cpus) {
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
+  for (int cpu : cpus) CPU_SET(cpu, &set);
   return pthread_setaffinity_np(handle, sizeof(set), &set) == 0;
 #else
   (void)handle;
-  (void)cpu;
+  (void)cpus;
   return false;
 #endif
 }
@@ -53,18 +52,12 @@ bool pin_thread(std::thread::native_handle_type handle, int cpu) {
 }  // namespace
 
 int ThreadTeam::hardware_threads() {
-#ifdef __linux__
   // Under cpusets/containers the process may run on far fewer cpus than
   // the machine has; sizing the team from hardware_concurrency() would
-  // stack every worker onto the handful of allowed cpus.
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    const int n = CPU_COUNT(&set);
-    if (n > 0) return n;
-  }
-#endif
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
+  // stack every worker onto the handful of allowed cpus.  The calling
+  // thread's own mask is no measure: a pinned team, or a caller that
+  // pinned itself, leaves it one cpu wide.
+  return system_topology().num_cpus();
 }
 
 std::uint64_t ThreadTeam::teams_constructed() {
@@ -109,11 +102,13 @@ ThreadTeam::ThreadTeam(int nthreads, bool pin)
     const std::vector<int> order = system_topology().pin_order();
     if (!order.empty()) {
       const int m = static_cast<int>(order.size());
+      caller_ = std::this_thread::get_id();
+      caller_cpus_ = affinity_cpus();  // this thread's mask
       for (int t = 0; t < nthreads_; ++t) {
         const int cpu = order[t % m];
         const auto handle =
             t == 0 ? pthread_self() : workers_[t - 1].native_handle();
-        if (pin_thread(handle, cpu)) pinned_cpus_[t] = cpu;
+        if (set_cpus(handle, {cpu})) pinned_cpus_[t] = cpu;
       }
     }
   }
@@ -129,6 +124,12 @@ ThreadTeam::~ThreadTeam() {
     detail::futex_wake(&epoch_, INT_MAX);
     for (auto& w : workers_) w.join();
   }
+#ifdef __linux__
+  // Thread 0 is the constructing thread: give it back its own mask, or
+  // it (and every thread it spawns later) stays on one cpu.
+  if (!caller_cpus_.empty() && std::this_thread::get_id() == caller_)
+    set_cpus(pthread_self(), caller_cpus_);
+#endif
 }
 
 void ThreadTeam::wake_workers() {

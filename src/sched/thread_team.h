@@ -36,6 +36,8 @@ namespace calu::sched {
 class ThreadTeam {
  public:
   /// Spawns `nthreads - 1` workers; the caller participates as thread 0.
+  /// A pinned team pins the caller too, and gives it back its cpu mask
+  /// when the team is destroyed on that thread.
   explicit ThreadTeam(int nthreads, bool pin = true);
   ~ThreadTeam();
 
@@ -70,13 +72,13 @@ class ThreadTeam {
     return epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Hardware parallelism actually available to this process: the size
-  /// of the sched_getaffinity cpu mask when the kernel reports one
-  /// (cpusets/containers restrict it below the machine's core count),
-  /// falling back to std::thread::hardware_concurrency() where
-  /// unrestricted or unsupported.  Default-sized teams and sessions use
-  /// this, so a container limited to 4 cpus gets a 4-thread team instead
-  /// of oversubscribing all of the host's cores onto them.
+  /// Hardware parallelism actually available to this process: the cpus
+  /// system_topology() was probed over, i.e. the affinity mask when the
+  /// process first asked (cpusets/containers restrict it below the
+  /// machine's core count).  Default-sized teams and sessions use this,
+  /// so a container limited to 4 cpus gets a 4-thread team instead of
+  /// oversubscribing all of the host's cores onto them.  It does not read
+  /// the caller's current mask, which a pinned team narrows.
   static int hardware_threads();
 
   /// Process-wide count of ThreadTeam constructions.  Lets the session /
@@ -99,6 +101,10 @@ class ThreadTeam {
 
   int nthreads_;
   std::vector<int> pinned_cpus_;  // per tid; -1 = not pinned
+  // The constructing thread (tid 0) and its cpu mask before pinning; the
+  // destructor restores the mask when it runs on that thread.
+  std::thread::id caller_;
+  std::vector<int> caller_cpus_;
   std::vector<std::thread> workers_;
 
   // Dispatch state.  `epoch_` is the futex word workers sleep on: bumped

@@ -89,21 +89,26 @@ double ping_pong_ns(int cpu_a, int cpu_b, int iters) {
     }
   });
 
-  pin_self(cpu_a);
-  while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    ball.store(1, std::memory_order_release);
-    int spins = 0;
-    while (ball.load(std::memory_order_acquire) != 0)
-      if (++spins > 4096) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-  }
-  elapsed_ns = std::chrono::duration<double, std::nano>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
+  // The timing side gets a thread of its own too: pinning the caller
+  // would leave the thread that first asks for the topology on cpu_a.
+  std::thread initiator([&] {
+    pin_self(cpu_a);
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) {
+      ball.store(1, std::memory_order_release);
+      int spins = 0;
+      while (ball.load(std::memory_order_acquire) != 0)
+        if (++spins > 4096) {
+          std::this_thread::yield();
+          spins = 0;
+        }
+    }
+    elapsed_ns = std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+  });
+  initiator.join();
   responder.join();
   return elapsed_ns / iters;
 }

@@ -37,7 +37,7 @@ using layout::Matrix;
 
 Options batch_options(const std::string& engine, bool pack) {
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pack_panels = pack;
   o.pin_threads = false;
@@ -50,9 +50,10 @@ Options batch_options(const std::string& engine, bool pack) {
 }
 
 /// Mixed-size job set: two squares, one tall-skinny (edge tiles included).
+/// The first job runs the tiled DAG, the other two the whole-job plan.
 std::vector<Matrix> mixed_jobs(std::uint64_t seed) {
   std::vector<Matrix> jobs;
-  jobs.push_back(Matrix::random(96, 96, seed));
+  jobs.push_back(Matrix::random(288, 288, seed));
   jobs.push_back(Matrix::random(64, 64, seed + 1));
   jobs.push_back(Matrix::random(120, 56, seed + 2));
   return jobs;
@@ -97,6 +98,7 @@ TEST(BatchedFactor, BitIdenticalToOneShotAcrossEnginesAndPackModes) {
           core::batched_run(jobs, session, core::BatchMode::Sequential);
 
       ASSERT_EQ(res.jobs.size(), ref.size());
+      test::expect_tiled(res.jobs[0].factorization.stats);
       for (std::size_t i = 0; i < ref.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
         EXPECT_EQ(res.jobs[i].factorization.ipiv, ref_f[i].ipiv);
@@ -108,13 +110,13 @@ TEST(BatchedFactor, BitIdenticalToOneShotAcrossEnginesAndPackModes) {
 
 TEST(BatchedGesv, BitIdenticalToOneShotAcrossEngines) {
   std::vector<Matrix> as;
-  as.push_back(Matrix::random(96, 96, 1301));
+  as.push_back(Matrix::random(288, 288, 1301));
   as.push_back(Matrix::random(48, 48, 1302));
-  as.push_back(Matrix::random(112, 112, 1303));
+  as.push_back(Matrix::random(336, 336, 1303));
   std::vector<Matrix> bs;
-  bs.push_back(Matrix::random(96, 2, 1304));
+  bs.push_back(Matrix::random(288, 2, 1304));
   bs.push_back(Matrix::random(48, 1, 1305));
-  bs.push_back(Matrix::random(112, 3, 1306));
+  bs.push_back(Matrix::random(336, 3, 1306));
 
   for (const std::string& engine : sched::engine_names()) {
     SCOPED_TRACE(engine);
@@ -130,6 +132,8 @@ TEST(BatchedGesv, BitIdenticalToOneShotAcrossEngines) {
         core::batched_run(jobs, session, core::BatchMode::Sequential);
 
     ASSERT_EQ(res.jobs.size(), as.size());
+    test::expect_tiled(res.jobs[0].factorization.stats);
+    test::expect_tiled(res.jobs[2].factorization.stats);
     for (std::size_t i = 0; i < as.size(); ++i) {
       SCOPED_TRACE("job " + std::to_string(i));
       EXPECT_EQ(test::max_abs_diff(res.jobs[i].x, ref[i].x), 0.0);
@@ -257,8 +261,8 @@ TEST(Session, MixedWorkloadSharesOneTeam) {
   sched::Session session(sched::SessionOptions{4, false});
   const Options opt = batch_options("hybrid", true);
 
-  Matrix a = Matrix::random(96, 96, 1901);
-  core::getrf(a, opt, session);
+  Matrix a = Matrix::random(288, 288, 1901);
+  test::expect_tiled(core::getrf(a, opt, session).stats);
 
   Matrix spd = core::spd_matrix(64, 1902);
   core::potrf(spd, opt, session);
@@ -299,9 +303,9 @@ TEST(BatchedRun, FusedBitIdenticalToSequentialAcrossEnginesAndPackModes) {
       EXPECT_EQ(seq.stats.dag_runs, seq_ms.size());
       EXPECT_EQ(fus.stats.dag_runs, 1u);  // the whole batch, one engine run
       ASSERT_EQ(fus.jobs.size(), seq.jobs.size());
-      // The set mixes plan shapes: the 96x96 job runs the tiled DAG, the
-      // 64x64 job is one whole-job task, in the same fused run.
-      EXPECT_EQ(fus.jobs[0].factorization.stats.plan, core::PlanKind::Tiled);
+      // The set mixes plan shapes: the 288x288 job runs the tiled DAG,
+      // the 64x64 job is one whole-job task, in the same fused run.
+      test::expect_tiled(fus.jobs[0].factorization.stats);
       EXPECT_EQ(fus.jobs[1].factorization.stats.plan,
                 core::PlanKind::WholeJob);
       for (std::size_t i = 0; i < seq_ms.size(); ++i) {
@@ -320,13 +324,13 @@ TEST(BatchedRun, FusedBitIdenticalToSequentialAcrossEnginesAndPackModes) {
 
 TEST(BatchedRun, FusedGesvJobsMatchSequentialAndLeaveInputsUntouched) {
   std::vector<Matrix> as;
-  as.push_back(Matrix::random(96, 96, 2201));
+  as.push_back(Matrix::random(288, 288, 2201));
   as.push_back(Matrix::random(48, 48, 2202));
-  as.push_back(Matrix::random(112, 112, 2203));
+  as.push_back(Matrix::random(336, 336, 2203));
   std::vector<Matrix> bs;
-  bs.push_back(Matrix::random(96, 2, 2204));
+  bs.push_back(Matrix::random(288, 2, 2204));
   bs.push_back(Matrix::random(48, 1, 2205));
-  bs.push_back(Matrix::random(112, 3, 2206));
+  bs.push_back(Matrix::random(336, 3, 2206));
   const std::vector<Matrix> as0 = as;  // inputs must come back untouched
 
   for (const std::string& engine : sched::engine_names()) {
@@ -354,6 +358,8 @@ TEST(BatchedRun, FusedGesvJobsMatchSequentialAndLeaveInputsUntouched) {
         core::batched_run(fus_jobs, fus_session, core::BatchMode::Fused);
 
     ASSERT_EQ(fus.jobs.size(), seq.jobs.size());
+    test::expect_tiled(fus.jobs[0].factorization.stats);
+    test::expect_tiled(fus.jobs[2].factorization.stats);
     for (std::size_t i = 0; i < as.size(); ++i) {
       SCOPED_TRACE("job " + std::to_string(i));
       EXPECT_EQ(test::max_abs_diff(fus.jobs[i].x, seq.jobs[i].x), 0.0);
@@ -372,10 +378,10 @@ TEST(BatchedRun, FusedRunCarriesMixedPrecisionJobs) {
   // solve must land at double accuracy without fallback; fused and
   // sequential must agree bit-for-bit, precision stamps included.
   std::vector<Matrix> as;
-  as.push_back(Matrix::random(96, 96, 2301));
+  as.push_back(Matrix::random(288, 288, 2301));
   as.push_back(Matrix::random(64, 64, 2302));
   std::vector<Matrix> bs;
-  bs.push_back(Matrix::random(96, 1, 2303));
+  bs.push_back(Matrix::random(288, 1, 2303));
   bs.push_back(Matrix::random(64, 2, 2304));
   Matrix factor_only = Matrix::random(80, 80, 2305);
 
@@ -407,6 +413,7 @@ TEST(BatchedRun, FusedRunCarriesMixedPrecisionJobs) {
       core::batched_run(fus_jobs, fus_session, core::BatchMode::Fused);
 
   for (core::BatchRunResult* r : {&seq, &fus}) {
+    test::expect_tiled(r->jobs[0].factorization.stats);
     EXPECT_EQ(r->jobs[0].factorization.stats.precision,
               core::Precision::Double);
     EXPECT_EQ(r->jobs[1].factorization.stats.precision,
@@ -436,10 +443,10 @@ TEST(BatchedRun, FusedFloat32FallbackMatchesSequential) {
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < n; ++i) hilbert(i, j) = 1.0 / (1.0 + i + j);
   std::vector<Matrix> as{Matrix::random(64, 64, 2311), hilbert,
-                         Matrix::random(96, 96, 2312)};
+                         Matrix::random(288, 288, 2312)};
   std::vector<Matrix> bs{Matrix::random(64, 1, 2313),
                          Matrix::random(n, 1, 2314),
-                         Matrix::random(96, 1, 2315)};
+                         Matrix::random(288, 1, 2315)};
   std::vector<core::BatchJob> make =
       solve_jobs(as, bs, batch_options("hybrid", true));
   for (core::BatchJob& job : make) {
@@ -452,6 +459,7 @@ TEST(BatchedRun, FusedFloat32FallbackMatchesSequential) {
       core::batched_run(seq_jobs, session, core::BatchMode::Sequential);
   core::BatchRunResult fus =
       core::batched_run(fus_jobs, session, core::BatchMode::Fused);
+  test::expect_tiled(fus.jobs[2].factorization.stats);
   for (std::size_t i = 0; i < as.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
     EXPECT_EQ(fus.jobs[i].used_fallback, i == 1);
@@ -473,7 +481,7 @@ TEST(BatchedRun, WholeJobJobsRunInsideTheEngineRunAlone) {
   sched::Session session(sched::SessionOptions{2, false});
   const sched::ThreadTeam& team = session.team();
   Options opt;
-  opt.b = 32;
+  opt.b = 96;
   opt.threads = 2;
   opt.pin_threads = false;
   auto regions_of = [&](const std::function<void()>& call) {
@@ -499,10 +507,10 @@ TEST(BatchedRun, WholeJobJobsRunInsideTheEngineRunAlone) {
   std::vector<Matrix> mixed_as(as.begin(), as.begin() + 4);
   std::vector<Matrix> mixed_bs(bs.begin(), bs.begin() + 4);
   for (int i = 0; i < 2; ++i) {
-    mixed_as.push_back(Matrix::diag_dominant(96, 2700 + i));
-    mixed_bs.push_back(Matrix::random(96, 1, 2710 + i));
+    mixed_as.push_back(Matrix::diag_dominant(288, 2700 + i));
+    mixed_bs.push_back(Matrix::random(288, 1, 2710 + i));
   }
-  ASSERT_EQ(core::plan_kind(96, 96), core::PlanKind::Tiled);
+  ASSERT_EQ(core::plan_kind(288, 288), core::PlanKind::Tiled);
   EXPECT_EQ(regions_of([&] { solve_batch(mixed_as, mixed_bs); }), 3u);
 
   EXPECT_EQ(regions_of([&] { core::gesv(as[0], bs[0], opt, session); }), 1u);

@@ -83,6 +83,7 @@ TEST_P(CaluSweep, ResidualBounded) {
   EXPECT_GT(f.stats.tasks, 0);
   EXPECT_EQ(f.stats.npanels,
             (std::min(c.m, c.n) + c.b - 1) / c.b);
+  test::expect_tiled(f.stats);
 }
 
 std::vector<CaluCase> sweep_cases() {
@@ -96,11 +97,12 @@ std::vector<CaluCase> sweep_cases() {
   const std::vector<Layout> layouts = {Layout::BlockCyclic,
                                        Layout::TwoLevelBlock,
                                        Layout::ColumnMajor};
-  // Square, odd-sized square, tall-skinny, wide.
+  // Square, odd-sized square, tall-skinny, wide; every shape is above
+  // the whole-job crossover, so each case runs the DAG.
   const std::vector<std::tuple<int, int, int>> shapes = {
-      {96, 96, 16}, {100, 100, 16}, {150, 60, 16}, {60, 150, 16},
-      {64, 64, 64},                       // single panel
-      {37, 37, 10},                       // everything partial
+      {288, 288, 48}, {300, 300, 48}, {450, 180, 48}, {180, 450, 48},
+      {288, 288, 288},                    // single panel
+      {299, 299, 75},                     // everything partial
   };
   for (auto [s, engine] : scheds)
     for (Layout l : layouts)
@@ -108,10 +110,10 @@ std::vector<CaluCase> sweep_cases() {
         cases.push_back({s, l, m, n, b, 4, 0.2, engine});
   // Thread-count and dratio variations on one shape.
   for (int t : {1, 2, 3, 8})
-    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, 128, 128, 16, t,
+    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, 384, 384, 48, t,
                      0.25});
   for (double d : {0.0, 0.1, 0.5, 0.75, 1.0})
-    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 120, 16,
+    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 360, 360, 48,
                      4, d});
   return cases;
 }
@@ -124,7 +126,7 @@ INSTANTIATE_TEST_SUITE_P(DesignSpace, CaluSweep,
 TEST(CaluDeterminism, SchedulesProduceIdenticalFactors) {
   // The tournament shape is fixed by (grid, b), so every schedule must
   // produce bit-identical pivots and factors.
-  const int n = 120, b = 16;
+  const int n = 360, b = 48;
   Options base;
   base.b = b;
   base.threads = 4;
@@ -144,6 +146,7 @@ TEST(CaluDeterminism, SchedulesProduceIdenticalFactors) {
   o.engine = "work-stealing";
   factor_and_residual(n, n, o, 55, &fw, &lw);
 
+  test::expect_tiled(fs.stats);
   EXPECT_EQ(fs.ipiv, fd.ipiv);
   EXPECT_EQ(fs.ipiv, fh.ipiv);
   EXPECT_EQ(fs.ipiv, fw.ipiv);
@@ -153,7 +156,7 @@ TEST(CaluDeterminism, SchedulesProduceIdenticalFactors) {
 }
 
 TEST(CaluDeterminism, LayoutsProduceIdenticalFactors) {
-  const int n = 110, b = 16;
+  const int n = 330, b = 48;
   Options base;
   base.b = b;
   base.threads = 4;
@@ -169,6 +172,7 @@ TEST(CaluDeterminism, LayoutsProduceIdenticalFactors) {
   factor_and_residual(n, n, o, 56, &f2, &l2);
   o.layout = Layout::ColumnMajor;
   factor_and_residual(n, n, o, 56, &f3, &l3);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(f1.ipiv, f3.ipiv);
   EXPECT_EQ(test::max_abs_diff(l1, l2), 0.0);
@@ -176,7 +180,7 @@ TEST(CaluDeterminism, LayoutsProduceIdenticalFactors) {
 }
 
 TEST(CaluDeterminism, GroupFactorDoesNotChangeResults) {
-  const int n = 130, b = 16;
+  const int n = 390, b = 48;
   Options o;
   o.b = b;
   o.threads = 4;
@@ -188,20 +192,22 @@ TEST(CaluDeterminism, GroupFactorDoesNotChangeResults) {
   factor_and_residual(n, n, o, 57, &f1, &l1);
   o.group_factor = 3;
   factor_and_residual(n, n, o, 57, &f3, &l3);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f3.ipiv);
   EXPECT_EQ(test::max_abs_diff(l1, l3), 0.0);
 }
 
 TEST(CaluDeterminism, RepeatedRunsIdentical) {
-  const int n = 100;
+  const int n = 300;
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 8;
   o.pin_threads = false;
   Factorization f1, f2;
   Matrix l1, l2;
   factor_and_residual(n, n, o, 58, &f1, &l1);
   factor_and_residual(n, n, o, 58, &f2, &l2);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(l1, l2), 0.0);
 }
@@ -267,39 +273,43 @@ TEST(CaluSpecial, BlockSizeOne) {
 TEST(CaluSpecial, VeryTallPanelMatrix) {
   // The shape CALU was designed for (tall and skinny).
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
-  EXPECT_LT(factor_and_residual(512, 32, o, 62), 100.0);
+  Factorization f;
+  EXPECT_LT(factor_and_residual(1536, 96, o, 62, &f), 100.0);
+  test::expect_tiled(f.stats);
 }
 
 // ------------------------------------------------------------- noise ---
 
 TEST(CaluNoise, CorrectUnderInjectedNoise) {
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.noise.prob = 0.3;
   o.noise.mean_us = 50.0;
   o.noise.jitter_us = 20.0;
   Factorization f;
-  EXPECT_LT(factor_and_residual(128, 128, o, 63, &f), 200.0);
+  EXPECT_LT(factor_and_residual(384, 384, o, 63, &f), 200.0);
+  test::expect_tiled(f.stats);
   EXPECT_GT(f.stats.noise_delta_max, 0.0);
   EXPECT_GE(f.stats.noise_delta_max, f.stats.noise_delta_avg);
 }
 
 TEST(CaluNoise, NoiseDoesNotChangeNumerics) {
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   Factorization f1, f2;
   Matrix l1, l2;
-  factor_and_residual(96, 96, o, 64, &f1, &l1);
+  factor_and_residual(288, 288, o, 64, &f1, &l1);
   o.noise.prob = 0.5;
   o.noise.mean_us = 30.0;
-  factor_and_residual(96, 96, o, 64, &f2, &l2);
+  factor_and_residual(288, 288, o, 64, &f2, &l2);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(l1, l2), 0.0);
 }
@@ -411,10 +421,11 @@ TEST(CaluPlanKind, DependsOnlyOnTheShape) {
   const struct {
     int m, n;
     core::PlanKind plan;
-  } shapes[] = {{64, 64, core::PlanKind::WholeJob},
-                {150, 60, core::PlanKind::Tiled}};
-  ASSERT_LE(model::lu_flops(64, 64), core::kWholeJobFlops);
-  ASSERT_GT(model::lu_flops(150, 60), core::kWholeJobFlops);
+  } shapes[] = {{256, 256, core::PlanKind::WholeJob},
+                {257, 257, core::PlanKind::Tiled}};
+  // Just below the crossover and just above it.
+  ASSERT_LE(model::lu_flops(256, 256), core::kWholeJobFlops);
+  ASSERT_GT(model::lu_flops(257, 257), core::kWholeJobFlops);
   for (const auto& sh : shapes)
     for (int t : {1, 2, 4, 8}) {
       sched::Session session(sched::SessionOptions{t, false});
@@ -423,7 +434,7 @@ TEST(CaluPlanKind, DependsOnlyOnTheShape) {
              {Layout::BlockCyclic, Layout::TwoLevelBlock, Layout::ColumnMajor})
           for (core::Precision p :
                {core::Precision::Double, core::Precision::Float32})
-            for (int b : {16, 48}) {
+            for (int b : {48, 144}) {
               SCOPED_TRACE(engine + " threads=" + std::to_string(t) + " " +
                            layout::layout_name(l) + " " +
                            core::precision_name(p) + " b=" +
@@ -498,12 +509,12 @@ TEST(CaluPlanKind, WholeJobMatchesRecursiveGepp) {
 TEST(CaluTrace, RecorderCapturesAllTaskKinds) {
   trace::Recorder rec;
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.recorder = &rec;
-  Matrix a = Matrix::random(128, 128, 65);
-  core::getrf(a, o);
+  Matrix a = Matrix::random(384, 384, 65);
+  test::expect_tiled(core::getrf(a, o).stats);
   EXPECT_EQ(rec.threads(), 4);
   bool saw[4] = {false, false, false, false};
   int total = 0;
@@ -524,14 +535,15 @@ TEST(CaluTrace, RecorderCapturesAllTaskKinds) {
 // ------------------------------------------------------------ solve ---
 
 TEST(CaluSolve, GesvSmallResidual) {
-  const int n = 100;
+  const int n = 300;
   Matrix a = Matrix::random(n, n, 66);
   Matrix b = Matrix::random(n, 3, 67);
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   auto res = core::gesv(a, b, o);
+  test::expect_tiled(res.factorization.stats);
   EXPECT_LT(res.residual, 1e-13);
 }
 

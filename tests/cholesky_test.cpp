@@ -228,10 +228,10 @@ TEST(Cholesky, TaskCountIsClosedForm) {
 // ----------------------------------------------- locality-tag engine ---
 
 TEST(LocalityTags, CaluCorrectAndDeterministic) {
-  const int n = 120;
+  const int n = 360;
   Matrix a0 = Matrix::random(n, n, 413);
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.schedule = Schedule::Dynamic;
@@ -239,6 +239,7 @@ TEST(LocalityTags, CaluCorrectAndDeterministic) {
   core::Factorization f1 = core::getrf(plain, o);
   o.engine = "locality-tags";
   core::Factorization f2 = core::getrf(tagged, o);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(plain, tagged), 0.0);
 }

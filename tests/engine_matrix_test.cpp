@@ -39,9 +39,10 @@ using EngineMatrixTest = test::KernelVariantTest;
 const int kThreadCounts[] = {1, 2, 4, 8};
 const bool kPackModes[] = {true, false};
 
-Options matrix_options(const std::string& engine, int threads, bool pack) {
+Options matrix_options(const std::string& engine, int threads, bool pack,
+                       int b = 16) {
   Options o;
-  o.b = 16;
+  o.b = b;
   o.threads = threads;
   o.pack_panels = pack;
   o.pin_threads = false;
@@ -63,17 +64,17 @@ TEST_P(EngineMatrixTest, CaluBitIdenticalAcrossEngines) {
   // The two shapes below the whole-job crossover run as one task and
   // must hold the same contract; the others must keep running the DAG.
   const struct {
-    int m, n;
+    int m, n, b;
     std::uint64_t seed;
     core::PlanKind plan;
-  } shapes[] = {{120, 120, 913, core::PlanKind::Tiled},
-                {150, 60, 914, core::PlanKind::Tiled},
-                {64, 64, 920, core::PlanKind::WholeJob},
-                {96, 40, 921, core::PlanKind::WholeJob}};
+  } shapes[] = {{288, 288, 36, 913, core::PlanKind::Tiled},
+                {450, 180, 48, 914, core::PlanKind::Tiled},
+                {64, 64, 16, 920, core::PlanKind::WholeJob},
+                {96, 40, 16, 921, core::PlanKind::WholeJob}};
   for (const auto& sh : shapes) {
     Matrix a_ref = Matrix::random(sh.m, sh.n, sh.seed);
     Factorization f_ref =
-        core::getrf(a_ref, matrix_options("hybrid", 1, true));
+        core::getrf(a_ref, matrix_options("hybrid", 1, true, sh.b));
     ASSERT_EQ(f_ref.stats.plan, sh.plan) << "m=" << sh.m << " n=" << sh.n;
     for (const std::string& engine : sched::engine_names())
       for (int t : kThreadCounts)
@@ -82,7 +83,8 @@ TEST_P(EngineMatrixTest, CaluBitIdenticalAcrossEngines) {
                        " pack=" + std::to_string(pack) + " m=" +
                        std::to_string(sh.m) + " n=" + std::to_string(sh.n));
           Matrix a = Matrix::random(sh.m, sh.n, sh.seed);
-          Factorization f = core::getrf(a, matrix_options(engine, t, pack));
+          Factorization f =
+              core::getrf(a, matrix_options(engine, t, pack, sh.b));
           EXPECT_EQ(f.stats.plan, sh.plan);
           EXPECT_EQ(f.ipiv, f_ref.ipiv);
           EXPECT_EQ(test::max_abs_diff(a, a_ref), 0.0);
@@ -93,12 +95,14 @@ TEST_P(EngineMatrixTest, CaluBitIdenticalAcrossEngines) {
 TEST_P(EngineMatrixTest, CaluLookaheadDepthDoesNotChangeResults) {
   // The look-ahead window is pure scheduling: any depth must reproduce
   // the reference factorization bit-for-bit.
-  const int n = 120;
+  const int n = 360, b = 48;
   Matrix a_ref = Matrix::random(n, n, 915);
-  Factorization f_ref = core::getrf(a_ref, matrix_options("hybrid", 1, true));
+  Factorization f_ref =
+      core::getrf(a_ref, matrix_options("hybrid", 1, true, b));
+  test::expect_tiled(f_ref.stats);
   for (int depth : {1, 2, 8, 64}) {
     SCOPED_TRACE("lookahead_depth=" + std::to_string(depth));
-    Options o = matrix_options("priority-lookahead", 4, true);
+    Options o = matrix_options("priority-lookahead", 4, true, b);
     o.lookahead_depth = depth;
     Matrix a = Matrix::random(n, n, 915);
     Factorization f = core::getrf(a, o);
@@ -169,9 +173,10 @@ TEST_P(EngineMatrixTest, IncpivBitIdenticalAcrossEngines) {
 TEST_P(EngineMatrixTest, PriorityLookaheadPromotesAndAccounts) {
   // The promotion counter must be live on the CALU DAG (panels exist) and
   // the pop counters must cover every task exactly once.
-  Options o = matrix_options("priority-lookahead", 4, true);
-  Matrix a = Matrix::random(160, 160, 919);
+  Options o = matrix_options("priority-lookahead", 4, true, 48);
+  Matrix a = Matrix::random(480, 480, 919);
   Factorization f = core::getrf(a, o);
+  test::expect_tiled(f.stats);
   EXPECT_GT(f.stats.engine.promotions, 0u);
   EXPECT_EQ(f.stats.engine.static_pops + f.stats.engine.dynamic_pops +
                 f.stats.engine.steals,

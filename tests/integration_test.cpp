@@ -21,17 +21,19 @@ using layout::PackedMatrix;
 
 TEST(Integration, TeamReuseAcrossFactorizations) {
   sched::Session session(sched::SessionOptions{4, false});
+  // Rounds 0-1 run the whole-job plan, rounds 2-4 the tiled DAG.
   for (int round = 0; round < 5; ++round) {
-    const int n = 64 + 16 * round;
+    const int n = 192 + 48 * round;
     Matrix a = Matrix::random(n, n, 500 + round);
     Matrix a0 = a;
     Options o;
-    o.b = 16;
+    o.b = 48;
     o.threads = 4;
     o.pin_threads = false;
     PackedMatrix p =
         PackedMatrix::pack(a, o.layout, o.b, o.resolved_grid());
     core::Factorization f = core::getrf(p, o, session);
+    if (round >= 2) test::expect_tiled(f.stats);
     p.unpack(a);
     EXPECT_LT(blas::lu_residual(n, n, a0.data(), a0.ld(), a.data(), a.ld(),
                                 f.ipiv.data(),
@@ -62,14 +64,15 @@ TEST(Integration, ConcurrentIndependentFactorizations) {
   // Two library users on separate (unpinned) teams at once: no shared
   // mutable state may leak between them.
   auto worker = [](int seed, double* out_res) {
-    const int n = 96;
+    const int n = 288;
     Matrix a = Matrix::random(n, n, seed);
     Matrix a0 = a;
     Options o;
-    o.b = 16;
+    o.b = 48;
     o.threads = 3;
     o.pin_threads = false;
     core::Factorization f = core::getrf(a, o);
+    test::expect_tiled(f.stats);
     *out_res = blas::lu_residual(n, n, a0.data(), a0.ld(), a.data(), a.ld(),
                                  f.ipiv.data(),
                                  static_cast<int>(f.ipiv.size()));
@@ -84,9 +87,9 @@ TEST(Integration, ConcurrentIndependentFactorizations) {
 }
 
 TEST(Integration, PackedAndMatrixLevelAgree) {
-  const int n = 90;
+  const int n = 270;
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.layout = Layout::TwoLevelBlock;
@@ -96,6 +99,7 @@ TEST(Integration, PackedAndMatrixLevelAgree) {
   PackedMatrix p = PackedMatrix::pack(a2, o.layout, o.b, o.resolved_grid());
   core::Factorization f2 = core::getrf(p, o);
   p.unpack(a2);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(a1, a2), 0.0);
 }
@@ -110,10 +114,13 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
   auto pick = [&](int lo, int hi) {
     return lo + static_cast<int>(rng() % (hi - lo + 1));
   };
-  const int m = pick(8, 200);
-  const int n = pick(8, 200);
+  // Shape and tile size are scaled by 3: a draw keeps its tile grid and
+  // gains 27x the flops, so every draw above 0.42 Mflop unscaled lands
+  // above the whole-job crossover and runs the tiled DAG.
+  const int m = 3 * pick(8, 200);
+  const int n = 3 * pick(8, 200);
   Options o;
-  o.b = pick(4, 48);
+  o.b = 3 * pick(4, 48);
   o.threads = pick(1, 8);
   o.group_factor = pick(1, 4);
   o.dratio = (rng() % 101) / 100.0;
@@ -163,14 +170,15 @@ TEST(Integration, SwapSequenceOnPackedMatchesDense) {
 }
 
 TEST(Integration, StatsAreConsistent) {
-  const int n = 128;
+  const int n = 384;
   Matrix a = Matrix::random(n, n, 550);
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.dratio = 0.5;
   core::Factorization f = core::getrf(a, o);
+  test::expect_tiled(f.stats);
   EXPECT_EQ(f.stats.engine.static_pops + f.stats.engine.dynamic_pops,
             static_cast<std::uint64_t>(f.stats.tasks));
   EXPECT_GT(f.stats.engine.dynamic_pops, 0u);  // half the panels dynamic
@@ -182,26 +190,28 @@ TEST(Integration, StatsAreConsistent) {
 }
 
 TEST(Integration, FullyStaticHasNoDynamicPops) {
-  const int n = 96;
+  const int n = 288;
   Matrix a = Matrix::random(n, n, 551);
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.schedule = Schedule::Static;
   core::Factorization f = core::getrf(a, o);
+  test::expect_tiled(f.stats);
   EXPECT_EQ(f.stats.engine.dynamic_pops, 0u);
 }
 
 TEST(Integration, FullyDynamicHasNoStaticPops) {
-  const int n = 96;
+  const int n = 288;
   Matrix a = Matrix::random(n, n, 552);
   Options o;
-  o.b = 16;
+  o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
   o.schedule = Schedule::Dynamic;
   core::Factorization f = core::getrf(a, o);
+  test::expect_tiled(f.stats);
   EXPECT_EQ(f.stats.engine.static_pops, 0u);
 }
 

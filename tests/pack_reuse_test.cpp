@@ -51,8 +51,9 @@ TEST(PackReuse, BitIdenticalOnOff) {
     Options off = on;
     off.pack_panels = false;
     Matrix lu_on, lu_off;
-    Factorization f_on = factor(256, 256, on, 77, &lu_on);
-    Factorization f_off = factor(256, 256, off, 77, &lu_off);
+    Factorization f_on = factor(320, 320, on, 77, &lu_on);
+    Factorization f_off = factor(320, 320, off, 77, &lu_off);
+    test::expect_tiled(f_on.stats);
     EXPECT_EQ(f_on.ipiv, f_off.ipiv);
     EXPECT_EQ(test::max_abs_diff(lu_on, lu_off), 0.0)
         << layout::layout_name(lay);
@@ -65,10 +66,10 @@ TEST(PackReuse, BitIdenticalOnRaggedShapes) {
   // Partial edge tiles, partial last panel, wide and tall shapes.
   const struct {
     int m, n;
-  } shapes[] = {{237, 190}, {190, 237}, {130, 130}};
+  } shapes[] = {{474, 380}, {380, 474}, {260, 260}};
   for (const auto& s : shapes) {
     Options on = base_options(Layout::BlockCyclic);
-    on.b = 48;
+    on.b = 96;
     on.pack_panels = true;
     Options off = on;
     off.pack_panels = false;
@@ -76,6 +77,7 @@ TEST(PackReuse, BitIdenticalOnRaggedShapes) {
     Matrix a0 = Matrix::random(s.m, s.n, 88);
     Factorization f_on = factor(s.m, s.n, on, 88, &lu_on);
     Factorization f_off = factor(s.m, s.n, off, 88, &lu_off);
+    test::expect_tiled(f_on.stats);
     EXPECT_EQ(f_on.ipiv, f_off.ipiv);
     EXPECT_EQ(test::max_abs_diff(lu_on, lu_off), 0.0)
         << s.m << "x" << s.n;
@@ -94,6 +96,7 @@ TEST(PackReuse, BitIdenticalAcrossGrouping) {
   Factorization f1 = factor(320, 320, o, 99, &lu1);
   o.group_factor = 3;
   Factorization f3 = factor(320, 320, o, 99, &lu3);
+  test::expect_tiled(f1.stats);
   EXPECT_EQ(f1.ipiv, f3.ipiv);
   EXPECT_EQ(test::max_abs_diff(lu1, lu3), 0.0);
 }
@@ -101,7 +104,7 @@ TEST(PackReuse, BitIdenticalAcrossGrouping) {
 TEST(PackReuse, PackCountIsLinearPerStep) {
   // 8x8 tiles, ungrouped: step k has (mb-k-1) pL + (nb-k-1) pU tasks and
   // (mb-k-1)*(nb-k-1) S tasks.
-  const int n = 256, b = 32, nb = n / b;
+  const int n = 384, b = 48, nb = n / b;
   Options o = base_options(Layout::ColumnMajor);
   o.b = b;
   o.group_factor = 1;
@@ -113,6 +116,7 @@ TEST(PackReuse, PackCountIsLinearPerStep) {
   Matrix lu;
   o.pack_panels = true;
   Factorization f_on = factor(n, n, o, 11, &lu);
+  test::expect_tiled(f_on.stats);
   EXPECT_EQ(f_on.stats.pack_tasks, expect_pack);
   EXPECT_EQ(f_on.stats.s_operand_packs, expect_pack);
   o.pack_panels = false;
@@ -131,8 +135,8 @@ TEST(PackReuse, PackTasksRenderInTimelines) {
   Options o = base_options(Layout::BlockCyclic);
   o.pack_panels = true;
   o.recorder = &rec;
-  Matrix a = Matrix::random(192, 192, 7);
-  core::getrf(a, o);
+  Matrix a = Matrix::random(320, 320, 7);
+  test::expect_tiled(core::getrf(a, o).stats);
   bool saw_pack = false;
   for (int t = 0; t < rec.threads(); ++t)
     for (const auto& e : rec.thread_events(t))
@@ -147,7 +151,8 @@ TEST(PackReuse, AllSchedulesBitIdenticalWithPacking) {
   Options o = base_options(Layout::BlockCyclic);
   o.pack_panels = true;
   Matrix ref_lu;
-  Factorization ref = factor(192, 192, o, 123, &ref_lu);
+  Factorization ref = factor(320, 320, o, 123, &ref_lu);
+  test::expect_tiled(ref.stats);
   const std::pair<core::Schedule, const char*> cases[] = {
       {core::Schedule::Static, "hybrid"},
       {core::Schedule::Dynamic, "hybrid"},
@@ -157,7 +162,7 @@ TEST(PackReuse, AllSchedulesBitIdenticalWithPacking) {
     os.schedule = s;
     os.engine = engine;
     Matrix lu;
-    Factorization f = factor(192, 192, os, 123, &lu);
+    Factorization f = factor(320, 320, os, 123, &lu);
     EXPECT_EQ(ref.ipiv, f.ipiv) << core::schedule_name(s) << " " << engine;
     EXPECT_EQ(test::max_abs_diff(ref_lu, lu), 0.0)
         << core::schedule_name(s) << " " << engine;

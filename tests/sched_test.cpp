@@ -17,6 +17,7 @@
 #include <tuple>
 
 #ifdef __linux__
+#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -28,6 +29,7 @@
 #include "src/sched/session.h"
 #include "src/sched/task_queue.h"
 #include "src/sched/thread_team.h"
+#include "src/sched/topology.h"
 
 namespace calu {
 namespace {
@@ -106,6 +108,32 @@ TEST(ThreadTeam, HardwareThreadsHonorsAffinityMask) {
   // Under a restricted mask (cpusets, containers, taskset) the old
   // hardware_concurrency() answer would exceed the allowance.
   EXPECT_LE(n, static_cast<int>(std::thread::hardware_concurrency()));
+#endif
+}
+
+TEST(ThreadTeam, PinnedSessionGivesItsCallerBackItsMask) {
+  // A pinned team pins the thread that builds it as thread 0.  Once the
+  // team is gone that thread must run where it ran before, and the
+  // process's cpu count must not shrink to the one cpu it was pinned to
+  // (threads = 0 would then resolve to a one-thread team, and threads the
+  // caller spawns later would inherit the single cpu).
+  const std::vector<int> cpus = sched::system_topology().pin_order();
+  if (cpus.size() < 2) GTEST_SKIP() << "needs at least 2 cpus";
+#ifdef __linux__
+  std::thread([&] {
+    cpu_set_t before;
+    CPU_ZERO(&before);
+    for (int c : cpus) CPU_SET(c, &before);
+    ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(before), &before),
+              0);
+    const int hw = ThreadTeam::hardware_threads();
+    { sched::Session session(sched::SessionOptions{2, true}); }
+    cpu_set_t after;
+    ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(after), &after),
+              0);
+    EXPECT_TRUE(CPU_EQUAL(&before, &after));
+    EXPECT_EQ(ThreadTeam::hardware_threads(), hw);
+  }).join();
 #endif
 }
 

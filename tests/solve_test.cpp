@@ -68,10 +68,13 @@ TEST(SolveResidual, LargeForWrongSolution) {
 }
 
 TEST(Gesv, ResidualTinyAndRefinementConverges) {
-  const int n = 120;
+  const int n = 360;
   Matrix a = Matrix::random(n, n, 307);
   Matrix b = Matrix::random(n, 2, 308);
-  auto res = core::gesv(a, b, small_opts(3));
+  Options o = small_opts(3);
+  o.b = 48;
+  auto res = core::gesv(a, b, o);
+  test::expect_tiled(res.factorization.stats);
   EXPECT_LT(res.residual, 1e-14);
   EXPECT_LE(res.refine_steps, 3);
 }
@@ -113,10 +116,13 @@ TEST(Gesv, ZeroRhsGivesExactZeroWithoutRefinement) {
 }
 
 TEST(Gesv, MaxRefineZeroSkipsRefinementButStillSolves) {
-  const int n = 96;
+  const int n = 288;
   Matrix a = Matrix::random(n, n, 315);
   Matrix b = Matrix::random(n, 1, 316);
-  auto res = core::gesv(a, b, small_opts(/*max_refine=*/0));
+  Options o = small_opts(/*max_refine=*/0);
+  o.b = 48;
+  auto res = core::gesv(a, b, o);
+  test::expect_tiled(res.factorization.stats);
   EXPECT_EQ(res.refine_steps, 0);
   EXPECT_LT(res.residual, 1e-12);  // GEPP-class accuracy without refinement
 }
@@ -154,10 +160,13 @@ TEST(Gesv, ZeroMatrixReportsNaNResidual) {
 TEST(GesvMixed, WellConditionedReachesDoubleAccuracy) {
   // The headline contract: float32 factorization + double refinement ends
   // at the same residual level as full-double gesv, without fallback.
-  const int n = 120;
+  const int n = 360;
   Matrix a = Matrix::random(n, n, 307);
   Matrix b = Matrix::random(n, 2, 308);
-  auto res = core::gesv_mixed(a, b, small_opts(/*max_refine=*/8));
+  Options o = small_opts(/*max_refine=*/8);
+  o.b = 48;
+  auto res = core::gesv_mixed(a, b, o);
+  test::expect_tiled(res.factorization.stats);
   EXPECT_LT(res.residual, 1e-14);
   EXPECT_FALSE(res.used_fallback);
   // Float factors carry ~eps_f error, so at least one step was needed.
@@ -170,10 +179,13 @@ TEST(GesvMixed, MaxRefineZeroAcceptsFloatAccuracy) {
   // max_refine = 0 means "give me the float-accuracy solution": no
   // refinement, no accuracy-based fallback.  The residual must sit at
   // float backward-error level — far above double, far below garbage.
-  const int n = 96;
+  const int n = 288;
   Matrix a = Matrix::random(n, n, 315);
   Matrix b = Matrix::random(n, 1, 316);
-  auto res = core::gesv_mixed(a, b, small_opts(/*max_refine=*/0));
+  Options o = small_opts(/*max_refine=*/0);
+  o.b = 48;
+  auto res = core::gesv_mixed(a, b, o);
+  test::expect_tiled(res.factorization.stats);
   EXPECT_EQ(res.refine_steps, 0);
   EXPECT_FALSE(res.used_fallback);
   EXPECT_LT(res.residual, 1e-4);
@@ -261,17 +273,17 @@ bool same_bits(const Matrix& a, const Matrix& b) {
 
 TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
   // gesv and gesv_mixed solve on the packed factors as the engine leaves
-  // them.  n = 64 is a whole-job plan (LAPACK-form factors); 96, 150 and
-  // 257 run the tiled DAG in its deferred form, the last two with ragged
-  // edge tiles.  Every case must meet the benchmark's backward-error
+  // them.  n = 64 is a whole-job plan (LAPACK-form factors); 288, 300
+  // and 257 run the tiled DAG in its deferred form, the last two with
+  // ragged edge tiles.  Every case must meet the benchmark's backward-error
   // bound, pivot exactly as getrf does with the same Options, and leave
   // a and b untouched bit for bit.
   const struct {
     int n, b;
     core::PlanKind plan;
   } shapes[] = {{64, 16, core::PlanKind::WholeJob},
-                {96, 16, core::PlanKind::Tiled},
-                {150, 48, core::PlanKind::Tiled},
+                {288, 48, core::PlanKind::Tiled},
+                {300, 96, core::PlanKind::Tiled},
                 {257, 32, core::PlanKind::Tiled}};
   const core::Schedule schedules[] = {
       core::Schedule::Static, core::Schedule::Dynamic, core::Schedule::Hybrid};

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/blas/microkernel.h"
+#include "src/core/calu.h"
 #include "src/layout/matrix.h"
 
 namespace calu::test {
@@ -27,6 +28,16 @@ class KernelVariantTest : public ::testing::TestWithParam<std::string> {
 inline std::string kernel_param_name(
     const ::testing::TestParamInfo<std::string>& info) {
   return info.param;
+}
+
+/// Expects that a factorization ran the tiled CALU DAG.  Every test whose
+/// subject is the DAG calls it, so raising core::kWholeJobFlops above its
+/// shape fails the test instead of quietly turning it into a one-task
+/// test.
+inline void expect_tiled(const core::Stats& stats) {
+  EXPECT_EQ(stats.plan, core::PlanKind::Tiled)
+      << "the shape runs the whole-job plan; move it above "
+         "core::kWholeJobFlops";
 }
 
 /// Naive reference GEMM: C = alpha*op(A)*op(B) + beta*C, used to validate
