@@ -34,8 +34,6 @@
 #include "bench/bench_common.h"
 #include "src/core/batch.h"
 #include "src/core/solve.h"
-#include "src/sched/engine_registry.h"
-#include "src/sched/topology.h"
 #include "src/util/percentile.h"
 
 namespace {
@@ -152,30 +150,6 @@ Result run_config(const Config& cfg, const core::Options& opt, int reps) {
   return res;
 }
 
-/// One engine's steal-distance profile on a representative factorization.
-struct LocalityResult {
-  std::string engine;
-  sched::EngineStats stats;
-};
-
-/// Factors the same matrix under the topology-blind work-stealing
-/// baseline and the distance-aware numa-hierarchical engine, so the
-/// committed JSON carries a steals-by-class comparison.  Both engines
-/// classify their steals, so the comparison is how much more of the numa
-/// engine's stolen work stayed cache-near.
-std::vector<LocalityResult> steal_locality_sweep(int threads) {
-  std::vector<LocalityResult> out;
-  for (const char* name : {"work-stealing", "numa-hierarchical"}) {
-    core::Options o;
-    o.threads = threads;
-    o.engine = name;
-    o.b = 32;
-    layout::Matrix a = layout::Matrix::random(320, 320, 99);
-    out.push_back({name, core::getrf(a, o).stats.engine});
-  }
-  return out;
-}
-
 void write_json(const char* path, const std::vector<Result>& results,
                 int threads, const std::string& engine, int reps) {
   std::FILE* f = std::fopen(path, "w");
@@ -207,41 +181,7 @@ void write_json(const char* path, const std::vector<Result>& results,
                  static_cast<unsigned long long>(r.dag_runs),
                  i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  // Steal-locality comparison (see steal_locality_sweep).  cross_fraction
-  // = steals that left the L3 group (pkg + xpkg + unk classes) over total
-  // steals, or -1 for engines that do not classify.
-  const std::vector<LocalityResult> loc = steal_locality_sweep(threads);
-  std::fprintf(f, "  \"steal_locality\": {\"topology\": \"%s\", "
-               "\"engines\": [\n",
-               sched::system_topology().summary().c_str());
-  for (std::size_t i = 0; i < loc.size(); ++i) {
-    const sched::EngineStats& st = loc[i].stats;
-    std::uint64_t classified = 0, cross = 0;
-    for (int c = 0; c < sched::kStealClassCount; ++c) {
-      classified += st.steals_by_class[c];
-      if (c >= static_cast<int>(sched::StealClass::kSamePackage))
-        cross += st.steals_by_class[c];
-    }
-    std::fprintf(f,
-                 "    {\"engine\": \"%s\", \"steals\": %llu, "
-                 "\"steal_attempts\": %llu, \"pinned_threads\": %d, "
-                 "\"by_class\": {",
-                 loc[i].engine.c_str(),
-                 static_cast<unsigned long long>(st.steals),
-                 static_cast<unsigned long long>(st.steal_attempts),
-                 st.pinned_threads);
-    for (int c = 0; c < sched::kStealClassCount; ++c)
-      std::fprintf(f, "%s\"%s\": %llu", c ? ", " : "",
-                   sched::steal_class_name(static_cast<sched::StealClass>(c)),
-                   static_cast<unsigned long long>(st.steals_by_class[c]));
-    std::fprintf(f, "}, \"cross_fraction\": %.4f}%s\n",
-                 classified > 0
-                     ? static_cast<double>(cross) / static_cast<double>(classified)
-                     : -1.0,
-                 i + 1 < loc.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]}\n}\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
 }

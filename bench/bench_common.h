@@ -31,8 +31,8 @@ inline int reps() { return std::max(1, env_int("CALU_BENCH_REPS", 2)); }
 
 /// Value of a `--engine=NAME` argument ("" when absent).  The profile and
 /// d-ratio sweep drivers accept it so the same figure can be reproduced
-/// under any registry executor (hybrid / locality-tags / work-stealing /
-/// priority-lookahead / user-registered) and compared.
+/// under any engine (hybrid / work-stealing / priority-lookahead) and
+/// compared.
 inline std::string engine_flag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];

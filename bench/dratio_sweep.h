@@ -7,9 +7,9 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps the hybrid default; any registry name
+/// `engine` "" keeps the hybrid default; any engine name
 /// (e.g. "priority-lookahead") reruns the identical sweep under that
-/// executor so the paper's d-ratio curves can be compared across all
+/// engine so the paper's d-ratio curves can be compared across all
 /// engines.
 inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
                          const std::vector<int>& ns,

@@ -1,7 +1,7 @@
 // Figure 1: profile of CALU using static scheduling on 16 cores — the
 // motivating figure: pockets of idle time (white gaps) even in a statically
 // optimized code.
-// --engine=NAME reruns the profile under any registry executor.
+// --engine=NAME reruns the profile under any engine.
 #include "bench/profile.h"
 
 int main(int argc, char** argv) {

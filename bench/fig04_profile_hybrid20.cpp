@@ -2,7 +2,7 @@
 // static(20% dynamic) scheduling — threads that finish the panel early
 // execute dynamic-section tasks instead of idling.
 //
-// --engine=NAME reruns the identical profile under any registry executor
+// --engine=NAME reruns the identical profile under any engine
 // (e.g. --engine=priority-lookahead to compare its panel overlap and
 // promotion count against the default hybrid look-ahead).
 #include "bench/profile.h"

@@ -1,7 +1,7 @@
 // Figure 14: CALU dynamic with column-major layout — 90% of the threads
 // become idle after only ~60% of the total factorization time (vs 80-90%
 // for the other variants).
-// --engine=NAME reruns the profile under any registry executor.
+// --engine=NAME reruns the profile under any engine.
 #include "bench/profile.h"
 
 int main(int argc, char** argv) {

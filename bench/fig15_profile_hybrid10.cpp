@@ -1,7 +1,7 @@
 // Figure 15: CALU static(10% dynamic) with the two-level block layout on
 // 16 cores — a small dynamic percentage keeps the cores busy and
 // drastically reduces idle time.
-// --engine=NAME reruns the profile under any registry executor.
+// --engine=NAME reruns the profile under any engine.
 #include "bench/profile.h"
 
 int main(int argc, char** argv) {

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,7 @@
 
 #include "src/blas/microkernel.h"
 #include "src/calu.h"
+#include "src/sched/topology.h"
 
 namespace {
 
@@ -126,16 +128,14 @@ void BM_DequeueOverhead(benchmark::State& state) {
   // The cost the paper worries about: concurrent pops from the shared
   // dynamic queue at increasing thread counts, measured per engine.
   const int threads = static_cast<int>(state.range(0));
-  const char* names[] = {"hybrid", "work-stealing", "locality-tags"};
-  const char* name = names[state.range(1)];
-  auto engine = sched::make_engine(name);
+  const std::string name = sched::engine_names()[state.range(1)];
   state.SetLabel(name);
   for (auto _ : state) {
     sched::ThreadTeam team(threads, false);
     sched::TaskGraph g;
     for (int i = 0; i < 20000; ++i) g.add_task(sched::Task{});
     g.finalize();
-    engine->run(team, g, [](int, int) {});
+    sched::run_engine(name, team, g, [](int, int) {});
   }
   state.counters["tasks/s"] = benchmark::Counter(
       20000.0 * state.iterations(), benchmark::Counter::kIsRate);
@@ -234,24 +234,13 @@ int run_json(const char* path) {
   // The variant this process would actually dispatch to: the CALU_KERNEL
   // pin if set, else the best the CPU supports.
   std::fprintf(f, "  \"dispatched\": \"%s\",\n", blas::active_kernel().name);
-  // Machine shape + measured steal-distance latencies (ns; -1 = class has
-  // no cpu pair here).  Committed numbers must say what topology produced
-  // them: a single-node container reports 1 package and every cross-
-  // package class unmeasured, which is exactly the caveat a reader of the
-  // numa-hierarchical numbers needs.
+  // Machine shape: committed numbers must say what topology produced them.
   const sched::Topology& topo = sched::system_topology();
   std::fprintf(f,
                "  \"topology\": {\"summary\": \"%s\", \"packages\": %d, "
-               "\"l3_groups\": %d, \"cores\": %d, \"smt_ways\": %d,\n"
-               "               \"distance_classes\": {",
+               "\"l3_groups\": %d, \"cores\": %d, \"smt_ways\": %d},\n",
                topo.summary().c_str(), topo.packages(), topo.l3_groups(),
                topo.cores(), topo.smt_ways());
-  for (int c = 0; c < sched::kStealClassCount; ++c) {
-    const auto cls = static_cast<sched::StealClass>(c);
-    std::fprintf(f, "%s\"%s\": %.1f", c ? ", " : "",
-                 sched::steal_class_name(cls), topo.class_latency_ns(cls));
-  }
-  std::fprintf(f, "}},\n");
   std::fprintf(f, "  \"kernels\": [\n");
   // Under a CALU_KERNEL pin, sweep only the pinned variant — a CI smoke
   // run pinned to "generic" must not silently re-enable the SIMD paths

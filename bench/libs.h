@@ -7,8 +7,8 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps the hybrid default for the CALU rows; any registry
-/// name (e.g. "numa-hierarchical") reruns them under that executor.  The
+/// `engine` "" keeps the hybrid default for the CALU rows; any engine
+/// name (e.g. "work-stealing") reruns them under that engine.  The
 /// MKL/PLASMA stand-in rows are engine-independent.
 inline void libs_sweep(const char* fig, int threads,
                        const std::vector<int>& ns, const char* paper_shape,

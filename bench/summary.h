@@ -7,8 +7,8 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps the hybrid default; any registry name (e.g.
-/// "numa-hierarchical") reruns every row under that executor.
+/// `engine` "" keeps the hybrid default; any engine name (e.g.
+/// "work-stealing") reruns every row under that engine.
 inline void summary_sweep(const char* fig, int threads,
                           const std::vector<int>& ns,
                           const char* paper_shape,

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   layout::Matrix b = layout::Matrix::random(n, 1, /*seed=*/8);
 
   // CALU with the paper's recommended configuration: block-cyclic layout,
-  // static scheduling with a 10% dynamic section, b = 100.  The executor
-  // is picked by name from the engine registry; Schedule::Hybrid maps to
+  // static scheduling with a 10% dynamic section, b = 100.  The engine
+  // is picked by name (sched::run_engine); Schedule::Hybrid maps to
   // "hybrid" (set opt.engine to override, e.g. "work-stealing").
   core::Options opt;
   opt.b = 100;

@@ -28,7 +28,6 @@
 #include "src/model/theorem1.h"
 #include "src/noise/noise.h"
 #include "src/sched/engine.h"
-#include "src/sched/engine_registry.h"
 #include "src/sched/session.h"
 #include "src/sched/thread_team.h"
 #include "src/trace/svg.h"

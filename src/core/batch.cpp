@@ -138,12 +138,12 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
 
   // One engine executes the fused graph: a job set that names two engines
   // has no faithful fused schedule, and silently picking one would betray
-  // whichever job asked for the other (the make_engine_or_default "warn
-  // and degrade" move is wrong here).  Reject loudly instead.  Tuned
-  // jobs with no explicit ask are the exception: different sizes may
-  // carry different tuned engines, and the caller's intent ("whatever
-  // is fastest") is served by adopting the lead job's resolution, not by
-  // a throw the caller cannot predict.
+  // whichever job asked for the other (run_engine's "warn and degrade"
+  // move is wrong here).  Reject loudly instead.  Tuned jobs with no
+  // explicit ask are the exception: different sizes may carry different
+  // tuned engines, and the caller's intent ("whatever is fastest") is
+  // served by adopting the lead job's resolution, not by a throw the
+  // caller cannot predict.
   const std::string engine = jobs[0].options.resolved_engine();
   for (BatchJob& job : jobs) {
     Options& o = job.options;

@@ -18,15 +18,15 @@
 //    first, across the team, because it returns LAPACK-form factors).
 //    These two team regions start only when the batch holds tiled jobs.
 // A solve job solves on its packed factors in the form the engine left
-// them (core/solve.h).  Each job is packed whole by one thread, so
-// Options::first_touch does not apply to fused batches.
+// them (core/solve.h).  Each job is packed whole by one thread, not by
+// the owner-ordered parallel pack of the single-job drivers.
 //
 // Fusion is purely a scheduling change: each job executes exactly the
 // task bodies its one-shot driver would run with the same Options
 // (prepared through the same core::GetrfJob seam getrf uses), so per-job
 // results are bit-identical across Fused / Sequential / one-shot for
-// every registered engine — tests/batch_test.cpp holds that matrix,
-// including under the TSan stress lane.
+// every engine — tests/batch_test.cpp holds that matrix, including under
+// the TSan stress lane.
 #pragma once
 
 #include <functional>

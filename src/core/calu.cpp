@@ -489,9 +489,9 @@ Options with_tune_key(const Options& opt, int m, int n) {
   return o;
 }
 
-layout::OwnerRunner owner_runner_from(const Options& opt,
+layout::OwnerRunner owner_runner_from(const Options&,
                                       sched::ThreadTeam& team) {
-  if (!opt.first_touch || team.size() <= 1) return {};
+  if (team.size() <= 1) return {};
   return [&team](int nowners, const std::function<void(int)>& fill) {
     team.run([&](int tid) {
       // owner % p is how the hybrid and look-ahead engines map

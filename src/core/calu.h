@@ -106,23 +106,11 @@ struct Options {
   /// operands.  Results are bit-identical either way.
   bool pack_panels = true;
   bool pin_threads = true;
-  /// Ownership-ordered first-touch packing: each grid owner's block-
-  /// cyclic buffer is allocated and filled by the team thread that will
-  /// run its P/pL/pU tasks (owner % threads), so under a first-touch
-  /// NUMA policy the panel pages land on that thread's node.  Packed
-  /// bits are identical either way; off restores the serial caller-
-  /// thread pack (useful as the "remote pages" baseline in benches).
-  /// Single-job entry points only (getrf, gesv, potrf and the sequential
-  /// batch): a fused batch packs each job whole on the one team thread
-  /// that prepares it, and ignores this field.
-  bool first_touch = true;
   trace::Recorder* recorder = nullptr;  // optional timeline capture
   noise::NoiseSpec noise{};             // optional transient-load injection
-  /// Executor registry name ("hybrid", "locality-tags", "work-stealing",
-  /// "numa-hierarchical", "priority-lookahead", or any engine registered
-  /// via sched::register_engine) — the only engine selector.  Empty =
-  /// the tuned engine under Auto, else "hybrid"; see
-  /// resolved_engine().
+  /// Engine name ("hybrid", "work-stealing" or "priority-lookahead";
+  /// sched::run_engine) — the only engine selector.  Empty = the tuned
+  /// engine under Auto, else "hybrid"; see resolved_engine().
   std::string engine;
   /// "priority-lookahead" window: panel-column tasks within this many
   /// panels of the completion frontier are promoted to the engine's
@@ -160,7 +148,7 @@ struct Options {
   /// PackedMatrix-level entry points keep the caller's packing (a packed
   /// matrix's b cannot be re-chosen after the fact).
   int resolved_b() const;
-  /// The registry key actually used: `engine` when set, else the tuned
+  /// The engine name actually used: `engine` when set, else the tuned
   /// engine under Auto, else "hybrid".
   std::string resolved_engine() const;
   /// `lookahead_depth`, or the tuned window under Auto.
@@ -301,8 +289,8 @@ layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
 
 /// The Matrix-level factor step getrf(Matrix&) and the solve drivers
 /// share: resolves `opt` as getrf does (tune key, resolved_b), packs `a`
-/// into `packed` (pack_for_plan; a tiled shape with ownership-ordered
-/// first touch) and factors it on `session`.  `lapack_form` applies the
+/// into `packed` (pack_for_plan; a tiled shape through the owner-ordered
+/// parallel pack) and factors it on `session`.  `lapack_form` applies the
 /// deferred left swaps, as getrf returns them; without them the factors
 /// stay in the deferred form the solve substitutes on
 /// (GetrfJob::finish_deferred).  `a` is only read.
@@ -331,14 +319,15 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
 /// once") entry point shares.
 sched::SessionOptions session_options_from(const Options& opt);
 
-/// The ownership-ordered first-touch runner for PackedMatrix::pack —
-/// owner g fills on team thread g % p, mirroring how the hybrid and
-/// look-ahead engines route owned tasks.  Empty (serial pack) when
-/// Options::first_touch is off or the team is a single thread.  It runs
-/// a team region, so it must not be used inside one (the fused batch
-/// packs without it).  The returned runner borrows `team`;
-/// use it before the team is torn down.
-layout::OwnerRunner owner_runner_from(const Options& opt,
+/// The owner-ordered parallel pack for PackedMatrix::pack — owner g
+/// fills on team thread g % p, mirroring how the hybrid and look-ahead
+/// engines route owned tasks, so each thread first touches the buffers
+/// its own tasks will use.  Empty (serial pack) when the team is a
+/// single thread; the Options are not read.  It runs a team region, so
+/// it must not be used inside one (the fused batch packs without it).
+/// The returned runner borrows `team`; use it before the team is torn
+/// down.
+layout::OwnerRunner owner_runner_from(const Options&,
                                       sched::ThreadTeam& team);
 
 }  // namespace calu::core

@@ -84,8 +84,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       t.j = k;
       t.aux = static_cast<int>(nodes.size());
       t.priority = prio(k, k, 0);
-      t.tag = tr * grid.pc + (k % grid.pc);
-      t.owner = panel_static ? t.tag : kDynamicOwner;
+      t.owner = panel_static ? tr * grid.pc + (k % grid.pc) : kDynamicOwner;
       leaf.task = g.add_task(t);
       if (k > 0) {
         deps.clear();
@@ -111,8 +110,8 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
         t.j = k;
         t.aux = static_cast<int>(nodes.size());
         t.priority = prio(k, k, 1);
-        t.tag = merge.thread_row * grid.pc + (k % grid.pc);
-        t.owner = panel_static ? t.tag : kDynamicOwner;
+        t.owner = panel_static ? merge.thread_row * grid.pc + (k % grid.pc)
+                               : kDynamicOwner;
         merge.task = g.add_task(t);
         g.add_edge(nodes[level[i]].task, merge.task);
         g.add_edge(nodes[level[i + 1]].task, merge.task);
@@ -132,8 +131,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       t.j = k;
       t.aux = -1;  // sentinel: finalize
       t.priority = prio(k, k, 2);
-      t.tag = grid.owner(k, k);
-      t.owner = panel_static ? t.tag : kDynamicOwner;
+      t.owner = panel_static ? grid.owner(k, k) : kDynamicOwner;
       plan.final_task[k] = g.add_task(t);
       g.add_edge(nodes[plan.root_node[k]].task, plan.final_task[k]);
     }
@@ -146,8 +144,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       t.i = I;
       t.j = k;
       t.priority = prio(k, k, 3);
-      t.tag = grid.owner(I, k);
-      t.owner = panel_static ? t.tag : kDynamicOwner;
+      t.owner = panel_static ? grid.owner(I, k) : kDynamicOwner;
       l_task[I] = g.add_task(t);
       g.add_edge(plan.final_task[k], l_task[I]);
       if (packing) {
@@ -157,8 +154,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
         tp.i = I;
         tp.j = k;
         tp.priority = prio(k, k, 4);
-        tp.tag = grid.owner(I, k);
-        tp.owner = panel_static ? tp.tag : kDynamicOwner;
+        tp.owner = panel_static ? grid.owner(I, k) : kDynamicOwner;
         pl_task[I] = g.add_task(tp);
         g.add_edge(l_task[I], pl_task[I]);
       }
@@ -173,8 +169,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       tu.i = k;
       tu.j = J;
       tu.priority = prio(J, k, 5);
-      tu.tag = grid.owner(k, J);
-      tu.owner = col_static ? tu.tag : kDynamicOwner;
+      tu.owner = col_static ? grid.owner(k, J) : kDynamicOwner;
       const int u_id = g.add_task(tu);
       g.add_edge(plan.final_task[k], u_id);
       for (int d : col_tasks[J]) g.add_edge(d, u_id);
@@ -192,8 +187,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
         tp.i = k;
         tp.j = J;
         tp.priority = prio(J, k, 6);
-        tp.tag = grid.owner(k, J);
-        tp.owner = col_static ? tp.tag : kDynamicOwner;
+        tp.owner = col_static ? grid.owner(k, J) : kDynamicOwner;
         pu_id = g.add_task(tp);
         g.add_edge(u_id, pu_id);
       }
@@ -213,8 +207,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
             ts.j = J;
             ts.aux = cnt;
             ts.priority = prio(J, k, 7);
-            ts.tag = grid.owner(I, J);
-            ts.owner = ts.tag;
+            ts.owner = grid.owner(I, J);
             const int s_id = g.add_task(ts);
             g.add_edge(packing ? pu_id : u_id, s_id);
             for (int c = 0; c < cnt; ++c) {
@@ -235,8 +228,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
           ts.j = J;
           ts.aux = 1;
           ts.priority = prio(J, k, 7);
-          ts.tag = grid.owner(I, J);
-          ts.owner = col_static ? ts.tag : kDynamicOwner;
+          ts.owner = col_static ? grid.owner(I, J) : kDynamicOwner;
           const int s_id = g.add_task(ts);
           g.add_edge(packing ? pu_id : u_id, s_id);
           g.add_edge(packing ? pl_task[I] : l_task[I], s_id);
@@ -258,8 +250,8 @@ CaluPlan build_whole_job_plan(const layout::Tiling& tiling,
   plan.grid = grid;
   plan.whole_job = true;
   plan.npanels = std::min(tiling.mb(), tiling.nb());
-  // Owner kDynamicOwner and tag -1: any thread may run it.  As panel 0's
-  // task it keeps priority-lookahead's promotion for Interactive jobs.
+  // Owner kDynamicOwner: any thread may run it.  As panel 0's task it
+  // keeps priority-lookahead's promotion for Interactive jobs.
   Task t;
   t.kind = trace::Kind::P;
   t.step = 0;

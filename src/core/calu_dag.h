@@ -70,8 +70,8 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
                     layout::Layout layout, double dratio, int group_factor,
                     bool pack_panels = true);
 
-/// The whole-job plan: one P task, dynamic and untagged, that factors the
-/// entire matrix with recursive GEPP (core::PlanKind::WholeJob).
+/// The whole-job plan: one dynamic P task that factors the entire matrix
+/// with recursive GEPP (core::PlanKind::WholeJob).
 CaluPlan build_whole_job_plan(const layout::Tiling& tiling,
                               const layout::Grid& grid);
 

@@ -42,7 +42,6 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
   auto owner_of = [&](int I, int J) {
     return J < nstatic ? grid.owner(I, J) : sched::kDynamicOwner;
   };
-  auto tag_of = [&](int I, int J) { return grid.owner(I, J); };
 
   for (int k = 0; k < nt; ++k) {
     sched::Task tp;
@@ -51,7 +50,6 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
     tp.i = k;
     tp.j = k;
     tp.priority = prio(k, k, 0);
-    tp.tag = tag_of(k, k);
     tp.owner = owner_of(k, k);
     potrf_id[k] = g.add_task(tp);
     if (syrk_prev[k] >= 0) g.add_edge(syrk_prev[k], potrf_id[k]);
@@ -63,7 +61,6 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
       tt.i = I;
       tt.j = k;
       tt.priority = prio(k, k, 1);
-      tt.tag = tag_of(I, k);
       tt.owner = owner_of(I, k);
       trsm_id[I] = g.add_task(tt);
       g.add_edge(potrf_id[k], trsm_id[I]);
@@ -78,7 +75,6 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
       ts.i = I;
       ts.j = I;
       ts.priority = prio(I, k, 2);
-      ts.tag = tag_of(I, I);
       ts.owner = owner_of(I, I);
       const int sid = g.add_task(ts);
       g.add_edge(trsm_id[I], sid);
@@ -92,7 +88,6 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
         tg.i = I2;
         tg.j = I;
         tg.priority = prio(I, k, 3);
-        tg.tag = tag_of(I2, I);
         tg.owner = owner_of(I2, I);
         const int gid = g.add_task(tg);
         g.add_edge(trsm_id[I2], gid);

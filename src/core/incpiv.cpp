@@ -220,7 +220,7 @@ IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
   sched::RunHooks hooks = run_hooks_from(opt, session.threads(), injector);
   // Incremental pivoting's DAG is all-dynamic; under the default hybrid
   // engine the global queue serves it (its static section is simply
-  // empty), and any registered engine can be swapped in via Options.
+  // empty), and any engine can be swapped in via Options.
   const auto t0 = std::chrono::steady_clock::now();
   f.stats.engine = session.run(g, exec, hooks, opt.resolved_engine());
   f.stats.factor_seconds =

@@ -27,10 +27,6 @@ struct Task {
   std::int32_t i = -1;      // tile row
   std::int32_t j = -1;      // tile col
   std::int32_t aux = 0;     // kind-specific (e.g. group length, tree level)
-  // Locality tag (Section 9 "future work" extension): the thread whose
-  // cache most likely holds this task's tiles, independent of whether the
-  // task is statically owned.  Used by the locality-aware dynamic policy.
-  std::int32_t tag = -1;
   // Whether the priority-lookahead engine may promote this task onto its
   // shared urgent queue.  Cleared job-wide for Batch-class requests so a
   // fused run's urgent capacity is reserved for Interactive jobs (the
@@ -59,7 +55,7 @@ class TaskGraph {
   /// Appends every task and edge of `other` into this graph, returning
   /// the id offset assigned to other's task 0 (other's task t becomes id
   /// offset + t here; edges are re-targeted accordingly).  Owner, kind,
-  /// step/i/j/aux and locality tag are preserved verbatim; priorities are
+  /// step/i/j/aux and promotable are preserved verbatim; priorities are
   /// re-keyed as
   ///
   ///     priority * priority_scale + priority_bias

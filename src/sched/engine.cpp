@@ -1,23 +1,22 @@
-// engine.cpp — EngineStats merge/report and the built-in engines: three
-// ready-set policies, each driven by detail::run_policy (engine_impl.h),
-// behind the five registry names.
+// engine.cpp — EngineStats merge/report and the three engines: ready-set
+// policies, each driven by detail::run_policy (engine_impl.h) and picked
+// by name in run_engine().
 #include "src/sched/engine.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "src/sched/chase_lev_deque.h"
 #include "src/sched/engine_impl.h"
-#include "src/sched/engine_registry.h"
 #include "src/sched/task_queue.h"
-#include "src/sched/topology.h"
 
 namespace calu::sched {
 
@@ -27,8 +26,6 @@ EngineStats& EngineStats::merge(const EngineStats& other) {
   steals += other.steals;
   steal_attempts += other.steal_attempts;
   promotions += other.promotions;
-  for (int c = 0; c < kStealClassCount; ++c)
-    steals_by_class[c] += other.steals_by_class[c];
   pinned_threads = std::max(pinned_threads, other.pinned_threads);
   elapsed = std::max(elapsed, other.elapsed);
   return *this;
@@ -47,20 +44,6 @@ std::string EngineStats::report() const {
                 static_cast<unsigned long long>(steal_attempts),
                 static_cast<unsigned long long>(promotions), elapsed);
   std::string out = buf;
-  std::uint64_t classified = 0;
-  for (std::uint64_t n : steals_by_class) classified += n;
-  if (classified > 0) {
-    // Steal-distance histogram, nearest class first — only for engines
-    // that classify (others would print all-zero noise).
-    out += " dist[";
-    for (int c = 0; c < kStealClassCount; ++c) {
-      std::snprintf(buf, sizeof(buf), "%s%s=%llu", c ? " " : "",
-                    steal_class_name(static_cast<StealClass>(c)),
-                    static_cast<unsigned long long>(steals_by_class[c]));
-      out += buf;
-    }
-    out += "]";
-  }
   if (pinned_threads >= 0) {
     std::snprintf(buf, sizeof(buf), " pinned=%d", pinned_threads);
     out += buf;
@@ -73,29 +56,22 @@ namespace {
 using detail::From;
 using detail::Pop;
 
-/// "hybrid" and "locality-tags": the paper's owner queues (Algorithm 1).
-/// Owned tasks (the static section) wait in their owner's priority queue,
-/// the rest (the dynamic section) in the sharded global DFS queue.  A
-/// thread serves its own queue first and the global queue only when that
-/// is empty.  `by_tag` partitions the dynamic section per thread by
-/// Task::tag, so each thread serves its own tag's shard first and the
-/// other shards round-robin after it.
+/// "hybrid": the paper's owner queues (Algorithm 1).  Owned tasks (the
+/// static section) wait in their owner's priority queue, the rest (the
+/// dynamic section) in the sharded global DFS queue.  A thread serves its
+/// own queue first and the global queue only when that is empty.
 class OwnerQueues {
  public:
-  // Untagged, the dynamic section is one logical DFS queue sharded for
-  // contention; a single shard at p == 1 keeps the strict global order
-  // the degenerate case promises.
-  OwnerQueues(const ThreadTeam& team, const TaskGraph& graph,
-              const RunHooks&, bool by_tag)
-      : graph_(graph), p_(team.size()), by_tag_(by_tag), own_(p_),
-        shared_(by_tag ? p_ : std::min(p_, 8)) {}
+  // The dynamic section is one logical DFS queue sharded for contention;
+  // a single shard at p == 1 keeps the strict global order the
+  // degenerate case promises.
+  OwnerQueues(int p, const TaskGraph& graph, const RunHooks&)
+      : graph_(graph), p_(p), own_(p_), shared_(std::min(p_, 8)) {}
 
   bool push(int id, int) {
     const Task& t = graph_.task(id);
     if (t.owner >= 0)
       own_[t.owner % p_].push(t.priority, id);
-    else if (by_tag_ && t.tag >= 0)
-      shared_.push_to(t.tag % shared_.shards(), t.priority, id);
     else
       shared_.push(t.priority, id);
     return false;
@@ -113,49 +89,23 @@ class OwnerQueues {
  private:
   const TaskGraph& graph_;
   const int p_;
-  const bool by_tag_;
   std::vector<PriorityTaskQueue> own_;
   ShardedReadyQueue shared_;
 };
 
-/// "work-stealing" and "numa-hierarchical": lock-free Chase-Lev deques
-/// (Section 8's baseline).  A ready task goes to the deque of the thread
-/// that made it ready; the owner pops LIFO and idle threads steal FIFO,
-/// the classic Cilk discipline.  Owner hints and priorities are ignored.
-/// A thief walks its victim groups in order, probing each group from a
-/// pseudo-random start so thieves do not convoy on one victim.  Flat, one
-/// group holds every other thread.  `by_distance` makes one group per
-/// topology distance class (SMT sibling, shared L2, shared L3, same
-/// package, cross package; topology.h), cheapest first, so a thief
-/// crosses an L3 or package boundary only when everything nearer is
-/// empty (Beaumont & Marchal, arXiv:1404.3913); unpinned threads all
-/// classify kUnknown and degrade to the flat walk.  Either way every
-/// steal is counted in its distance class.
+/// "work-stealing": lock-free Chase-Lev deques (Section 8's baseline).  A
+/// ready task goes to the deque of the thread that made it ready; the
+/// owner pops LIFO and idle threads steal FIFO, the classic Cilk
+/// discipline.  Owner hints and priorities are ignored.  A thief probes
+/// the other threads, in ascending order, from a pseudo-random start so
+/// thieves do not convoy on one victim.
 class ChaseLev {
  public:
-  ChaseLev(const ThreadTeam& team, const TaskGraph&, const RunHooks&,
-           bool by_distance)
-      : deques_(team.size()), rng_(team.size()), groups_(team.size()) {
-    const int p = team.size();
-    const Topology& topo = system_topology();
+  ChaseLev(int p, const TaskGraph&, const RunHooks&)
+      : p_(p), deques_(p), rng_(p) {
     for (int t = 0; t < p; ++t) {
       deques_[t] = std::make_unique<ChaseLevDeque>();
       rng_[t].state = kSeed * 0x9E3779B97F4A7C15ULL + t + 1;
-      std::vector<std::vector<Victim>> bucket(kStealClassCount);
-      for (int v = 0; v < p; ++v) {
-        if (v == t) continue;
-        const StealClass c =
-            topo.classify(team.pinned_cpu(t), team.pinned_cpu(v));
-        bucket[by_distance ? static_cast<int>(c) : 0].push_back({v, c});
-      }
-      for (std::vector<Victim>& b : bucket)
-        if (!b.empty()) groups_[t].push_back(std::move(b));
-      // Measured steal latency when the probe ran, class rank otherwise.
-      std::sort(groups_[t].begin(), groups_[t].end(),
-                [&](const std::vector<Victim>& a,
-                    const std::vector<Victim>& b) {
-                  return topo.steal_cost(a[0].cls) < topo.steal_cost(b[0].cls);
-                });
     }
   }
 
@@ -168,18 +118,17 @@ class ChaseLev {
     int id = -1;
     if (deques_[tid]->pop_bottom(id)) return {id, From::Own};
     Pop got;
-    for (const std::vector<Victim>& group : groups_[tid]) {
-      const std::size_t m = group.size();
-      const std::size_t start = rng_[tid].next() % m;
-      for (std::size_t k = 0; k < m; ++k) {
-        ++got.attempts;
-        const Victim& v = group[(start + k) % m];
-        if (deques_[v.tid]->steal_top(id)) {
-          got.id = id;
-          got.from = From::Stolen;
-          got.steal_class = static_cast<int>(v.cls);
-          return got;
-        }
+    const int m = p_ - 1;  // victims: every thread but `tid`, ascending
+    if (m == 0) return got;
+    const int start = static_cast<int>(rng_[tid].next() % m);
+    for (int k = 0; k < m; ++k) {
+      ++got.attempts;
+      const int slot = (start + k) % m;
+      const int victim = slot < tid ? slot : slot + 1;
+      if (deques_[victim]->steal_top(id)) {
+        got.id = id;
+        got.from = From::Stolen;
+        return got;
       }
     }
     return got;
@@ -189,10 +138,6 @@ class ChaseLev {
 
  private:
   static constexpr std::uint64_t kSeed = 7;  // victim-order RNG seed
-  struct Victim {
-    int tid;
-    StealClass cls;
-  };
   struct alignas(64) Rng {  // xorshift64*, one cache line per thread
     std::uint64_t state = 0;
     std::uint64_t next() {
@@ -202,9 +147,9 @@ class ChaseLev {
       return state * 0x2545F4914F6CDD1DULL;
     }
   };
+  const int p_;
   std::vector<std::unique_ptr<ChaseLevDeque>> deques_;
   std::vector<Rng> rng_;
-  std::vector<std::vector<std::vector<Victim>>> groups_;  // per thread
 };
 
 /// True for tasks on a panel column (the factorization's critical path):
@@ -239,9 +184,8 @@ bool panel_column_task(const Task& t) {
 /// live panels and pack-arena footprint) rather than a depth-first rush.
 class Lookahead {
  public:
-  Lookahead(const ThreadTeam& team, const TaskGraph& graph,
-            const RunHooks& hooks, bool)
-      : graph_(graph), p_(team.size()),
+  Lookahead(int p, const TaskGraph& graph, const RunHooks& hooks)
+      : graph_(graph), p_(p),
         depth_(std::max(1, hooks.lookahead_depth)), own_(p_),
         step_left_(num_steps(graph)) {
     for (int t = 0; t < graph.num_tasks(); ++t)
@@ -300,47 +244,45 @@ class Lookahead {
   std::atomic<int> frontier_{0};
 };
 
-/// A registry engine: every run() builds a fresh Policy (engines keep no
-/// state across runs) and hands it to the one executor loop.
+/// Builds a fresh Policy for the run (engines keep no state across runs)
+/// and hands it to the one executor loop.
 template <class Policy>
-class PolicyEngine final : public Engine {
- public:
-  PolicyEngine(std::string name, bool variant)
-      : name_(std::move(name)), variant_(variant) {}
+EngineStats run_with(ThreadTeam& team, const TaskGraph& graph,
+                     const ExecFn& exec, const RunHooks& hooks) {
+  Policy policy(team.size(), graph, hooks);
+  return detail::run_policy(policy, team, graph, exec, hooks);
+}
 
-  const std::string& name() const override { return name_; }
-
-  EngineStats run(ThreadTeam& team, const TaskGraph& graph,
-                  const ExecFn& exec, const RunHooks& hooks) override {
-    Policy policy(team, graph, hooks, variant_);
-    return detail::run_policy(policy, team, graph, exec, hooks);
+/// Warns once per distinct unknown name: the fallback sits on per-call
+/// paths (every job of a batch resolves its engine), and a typo'd name
+/// must not spam stderr thousands of times.
+void warn_unknown(std::string_view name) {
+  static std::mutex mu;
+  static std::set<std::string, std::less<>> warned;
+  {
+    std::lock_guard lk(mu);
+    if (!warned.emplace(name).second) return;
   }
-
- private:
-  std::string name_;
-  bool variant_;  // OwnerQueues: by_tag; ChaseLev: by_distance
-};
-
-template <class Policy>
-std::pair<std::string, EngineFactory> builtin(const char* name,
-                                              bool variant = false) {
-  EngineFactory make = [name, variant] {
-    return std::make_unique<PolicyEngine<Policy>>(name, variant);
-  };
-  return {name, std::move(make)};
+  std::fprintf(stderr,
+               "calu::sched: unknown engine '%.*s', using \"hybrid\"\n",
+               static_cast<int>(name.size()), name.data());
 }
 
 }  // namespace
 
-namespace detail {
-
-std::vector<std::pair<std::string, EngineFactory>> builtin_engines() {
-  return {builtin<OwnerQueues>("hybrid"),
-          builtin<OwnerQueues>("locality-tags", /*by_tag=*/true),
-          builtin<ChaseLev>("work-stealing"),
-          builtin<ChaseLev>("numa-hierarchical", /*by_distance=*/true),
-          builtin<Lookahead>("priority-lookahead")};
+EngineStats run_engine(std::string_view name, ThreadTeam& team,
+                       const TaskGraph& graph, const ExecFn& exec,
+                       const RunHooks& hooks) {
+  if (name == "work-stealing")
+    return run_with<ChaseLev>(team, graph, exec, hooks);
+  if (name == "priority-lookahead")
+    return run_with<Lookahead>(team, graph, exec, hooks);
+  if (name != "hybrid") warn_unknown(name);
+  return run_with<OwnerQueues>(team, graph, exec, hooks);
 }
 
-}  // namespace detail
+std::vector<std::string> engine_names() {
+  return {"hybrid", "priority-lookahead", "work-stealing"};
+}
+
 }  // namespace calu::sched

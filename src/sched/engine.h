@@ -1,9 +1,9 @@
-// engine.h — the pluggable task-graph executor interface.
+// engine.h — the task-graph executor.
 //
 // One task dependency graph serves the whole static<->dynamic design space
-// (Table 1 of the paper); *how* it is executed is an Engine.  The five
-// built-in names are three ready-set policies driven by one executor loop
-// (detail::run_policy, engine_impl.h):
+// (Table 1 of the paper); *how* it is executed is an engine.  The three
+// engines are ready-set policies driven by one executor loop
+// (detail::run_policy, engine_impl.h), picked by name in run_engine():
 //
 //   "hybrid"        — the paper's scheduler (Algorithm 1): every thread
 //                     first serves its own priority queue of ready *static*
@@ -12,18 +12,10 @@
 //                     global queue of *dynamic* tasks in DFS order.  Fully
 //                     static and fully dynamic are the two degenerate
 //                     cases.
-//   "locality-tags" — Section-9 extension: the same owner queues, with the
-//                     dynamic section partitioned by Task::tag so each
-//                     thread serves its own tag's shard first ("tasks whose
-//                     data is highly likely to be in a core's cache
-//                     already"), falling back to other shards round-robin.
 //   "work-stealing" — the related-work baseline (Section 8): ready tasks
 //                     go to the spawning thread's lock-free Chase-Lev
 //                     deque; idle threads steal FIFO, probing the other
 //                     threads from a random start.
-//   "numa-hierarchical" — the same deques, with victims probed nearest
-//                     topology distance class first (Beaumont & Marchal,
-//                     arXiv:1404.3913).
 //   "priority-lookahead" — dynamic look-ahead (à la arXiv:1804.07017):
 //                     ready tasks go to per-thread mutable priority
 //                     queues, but a panel-column task (P / panel L / pL)
@@ -33,27 +25,22 @@
 //                     local — the static 2-queue look-ahead generalized
 //                     into a dynamic policy.
 //
-// Engines are obtained by name from the registry (engine_registry.h) so
-// drivers, benches, and examples never hard-wire an executor; new policies
-// plug in by registering a factory.
+// A new engine is a policy class in engine.cpp plus one branch in
+// run_engine().
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/noise/noise.h"
 #include "src/sched/dag.h"
 #include "src/sched/thread_team.h"
-#include "src/sched/topology.h"
 #include "src/trace/trace.h"
 
 namespace calu::sched {
-
-// The trace layer mirrors the steal-distance class count so it can stay
-// independent of sched headers; keep the two in lock step.
-static_assert(kStealClassCount == trace::kStealClassCount,
-              "sched::StealClass and trace steal_class disagree");
 
 /// The work function: execute task `id` on thread `tid`.
 using ExecFn = std::function<void(int id, int tid)>;
@@ -89,11 +76,6 @@ struct EngineStats {
   /// Panel-column tasks promoted past the local queues into the shared
   /// urgent queue ("priority-lookahead" only; 0 elsewhere).
   std::uint64_t promotions = 0;
-  /// Successful steals bucketed by the topology distance between thief
-  /// and victim (indexed by StealClass; see topology.h).  Filled by the
-  /// Chase-Lev engines ("work-stealing", "numa-hierarchical") — sums to
-  /// `steals` there; all-zero for engines that do not classify steals.
-  std::uint64_t steals_by_class[kStealClassCount] = {};
   /// Team threads whose topology-derived pinning was verified effective
   /// at run time (ThreadTeam::pinned_count), or -1 when no run was
   /// merged in.  merge() keeps the max, so session totals reflect the
@@ -109,20 +91,16 @@ struct EngineStats {
   std::string report() const;
 };
 
-/// Abstract executor over a finalized TaskGraph.  Implementations must be
-/// stateless across run() calls (one engine instance may be reused, even
-/// from different teams).
-class Engine {
- public:
-  virtual ~Engine() = default;
+/// Executes every task of `graph` exactly once, respecting edges, on
+/// `team` under the engine called `name`.  An unknown name warns on
+/// stderr once per name and runs "hybrid": Options::engine is caller
+/// input, and a typo must degrade to the default engine, not crash.
+EngineStats run_engine(std::string_view name, ThreadTeam& team,
+                       const TaskGraph& graph, const ExecFn& exec,
+                       const RunHooks& hooks = {});
 
-  /// Registry key this engine was built under ("hybrid", ...).
-  virtual const std::string& name() const = 0;
-
-  /// Executes every task of `graph` exactly once, respecting edges.
-  virtual EngineStats run(ThreadTeam& team, const TaskGraph& graph,
-                          const ExecFn& exec,
-                          const RunHooks& hooks = {}) = 0;
-};
+/// The engine names, sorted: "hybrid", "priority-lookahead",
+/// "work-stealing".
+std::vector<std::string> engine_names();
 
 }  // namespace calu::sched

@@ -3,8 +3,8 @@
 //
 // Algorithm 1's loop is the same at every point of the design space:
 // while tasks remain, take a ready task, run it, release its successors.
-// Engines differ only in where ready tasks wait — a ready-set policy with
-// three members:
+// Engines differ only in where ready tasks wait — a ready-set policy,
+// built from (team size, graph, hooks), with three members:
 //
 //   bool push(int id, int tid)  files ready task `id`.  `tid` is the
 //                               thread that made it ready; the loop deals
@@ -45,8 +45,7 @@ enum class From : std::uint8_t {
 struct Pop {
   int id = -1;  // task to run; -1 when nothing is ready for the thread
   From from = From::Own;
-  int attempts = 0;      // steal probes made, successful or not
-  int steal_class = -1;  // StealClass of a classified steal, else -1
+  int attempts = 0;  // steal probes made, successful or not
 };
 
 /// Runs every task of `graph` once through `policy` on `team`.
@@ -99,10 +98,7 @@ EngineStats run_policy(Policy& policy, ThreadTeam& team,
         case From::Own: ++me.static_pops; break;
         case From::Shared:
         case From::Promoted: ++me.dynamic_pops; break;
-        case From::Stolen:
-          ++me.steals;
-          if (got.steal_class >= 0) ++me.steals_by_class[got.steal_class];
-          break;
+        case From::Stolen: ++me.steals; break;
       }
       const bool dynamic = got.from != From::Own;
 
@@ -116,7 +112,6 @@ EngineStats run_policy(Policy& policy, ThreadTeam& team,
         ev.j = t.j;
         ev.dynamic = dynamic;
         ev.promoted = got.from == From::Promoted;
-        ev.steal_class = static_cast<std::int8_t>(got.steal_class);
         ev.t0 = rec->now();
       }
       exec(id, tid);

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
-#include <utility>
-
-#include "src/sched/engine_registry.h"
+#include <mutex>
 
 namespace calu::sched {
 
@@ -14,19 +12,10 @@ Session::Session(const SessionOptions& opt)
     : team_(opt.threads > 0 ? opt.threads : ThreadTeam::hardware_threads(),
             opt.pin_threads) {}
 
-Engine& Session::engine(std::string_view name) {
-  auto it = engines_.find(name);
-  if (it == engines_.end()) {
-    std::unique_ptr<Engine> eng = make_engine_or_default(name);
-    it = engines_.emplace(std::string(name), std::move(eng)).first;
-  }
-  return *it->second;
-}
-
 EngineStats Session::run(const TaskGraph& graph, const ExecFn& exec,
                          const RunHooks& hooks,
                          std::string_view engine_name) {
-  EngineStats st = engine(engine_name).run(team_, graph, exec, hooks);
+  EngineStats st = run_engine(engine_name, team_, graph, exec, hooks);
   totals_.merge(st);
   ++runs_;
   return st;
@@ -68,8 +57,6 @@ FusedRunResult Session::run_fused(std::vector<FusedJob>& jobs,
     counters[j].remaining.store(jobs[j].graph->num_tasks(),
                                 std::memory_order_relaxed);
 
-  std::vector<int> order(jobs.size(), -1);
-  std::atomic<int> order_next{0};
   std::vector<double> completed_at(jobs.size(), 0.0);
   const auto job_of = [&offset, njobs](int id) {
     return static_cast<int>(std::upper_bound(offset.begin(),
@@ -87,18 +74,26 @@ FusedRunResult Session::run_fused(std::vector<FusedJob>& jobs,
   // including empty ones — gets a completed_at stamped from the same t0.
   const auto t0 = std::chrono::steady_clock::now();
 
+  // A job takes its completion_order slot and fires on_complete under one
+  // lock, so two jobs retiring at once call back in the recorded order.
+  // Only the retirement of a job's last task takes it.
+  std::mutex complete_mu;
+  res.completion_order.reserve(jobs.size());
+  const auto complete = [&](int j) {
+    std::lock_guard lk(complete_mu);
+    completed_at[j] = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    res.completion_order.push_back(j);
+    if (jobs[j].on_complete) jobs[j].on_complete(j);
+  };
+
   // A job contributing zero tasks is complete before the run starts: it
   // retires here, on the calling thread, with completed_at ~0 (the
   // documented exception to the worker-thread on_complete contract —
   // there is no last task and hence no retiring worker).
   for (int j = 0; j < njobs; ++j)
-    if (jobs[j].graph->num_tasks() == 0) {
-      completed_at[j] = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      order[order_next.fetch_add(1, std::memory_order_relaxed)] = j;
-      if (jobs[j].on_complete) jobs[j].on_complete(j);
-    }
+    if (jobs[j].graph->num_tasks() == 0) complete(j);
 
   RunHooks fused_hooks = hooks;
   const auto caller_retire = hooks.on_retire;
@@ -110,16 +105,11 @@ FusedRunResult Session::run_fused(std::vector<FusedJob>& jobs,
       c.dynamic_pops.fetch_add(1, std::memory_order_relaxed);
     else
       c.static_pops.fetch_add(1, std::memory_order_relaxed);
-    if (c.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      completed_at[j] = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      order[order_next.fetch_add(1, std::memory_order_relaxed)] = j;
-      if (jobs[j].on_complete) jobs[j].on_complete(j);
-    }
+    if (c.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      complete(j);
   };
 
-  res.engine = engine(engine_name).run(team_, fused, exec, fused_hooks);
+  res.engine = run_engine(engine_name, team_, fused, exec, fused_hooks);
   totals_.merge(res.engine);
   ++runs_;
 
@@ -130,9 +120,6 @@ FusedRunResult Session::run_fused(std::vector<FusedJob>& jobs,
         counters[j].dynamic_pops.load(std::memory_order_relaxed);
     res.jobs[j].completed_at = completed_at[j];
   }
-  res.completion_order.reserve(jobs.size());
-  for (int j = 0; j < njobs; ++j)
-    if (order[j] >= 0) res.completion_order.push_back(order[j]);
   return res;
 }
 

@@ -1,14 +1,14 @@
-// session.h — persistent solver session: one pinned thread team plus
-// cached engine instances, reused across many DAG runs.
+// session.h — persistent solver session: one pinned thread team reused
+// across many DAG runs.
 //
 // The paper's scheduler amortizes its cost across one factorization; a
 // service amortizes it across *many*.  Every one-shot driver call used to
-// construct a fresh ThreadTeam (spawn + pin + park p-1 workers) and a
-// fresh Engine — per-call overhead that dominates small-matrix and
-// many-RHS workloads.  A Session hoists both: construct it once, run any
-// number of factorizations/solves on it back-to-back, and the workers are
-// spawned exactly once (ThreadTeam::teams_constructed() lets tests assert
-// that by counting, not timing).
+// construct a fresh ThreadTeam (spawn + pin + park p-1 workers) — per-call
+// overhead that dominates small-matrix and many-RHS workloads.  A Session
+// hoists it: construct it once, run any number of factorizations/solves
+// on it back-to-back, and the workers are spawned exactly once
+// (ThreadTeam::teams_constructed() lets tests assert that by counting,
+// not timing).
 //
 //   sched::Session s({.threads = 8});
 //   for (auto& job : jobs) core::getrf(job.a, opt, s);   // no re-spawn
@@ -26,9 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -51,7 +48,8 @@ struct FusedJob {
   /// Optional: fired exactly once, on the worker thread that retires the
   /// job's last task, while other jobs may still be executing.  Treat it
   /// as a scheduling-progress signal: touch only this job's data, and
-  /// keep it cheap — it runs inside the engine's completion path.
+  /// keep it cheap — it runs inside the engine's completion path.  The
+  /// callbacks of one run never overlap and fire in completion_order.
   /// Exception: a job whose graph has zero tasks has no last task to
   /// retire, so its callback fires on the run_fused *caller* thread, just
   /// before the engine run starts (completed_at is stamped ~0 from the
@@ -88,14 +86,9 @@ class Session {
   ThreadTeam& team() { return team_; }
   int threads() const { return team_.size(); }
 
-  /// The cached engine instance for a registry name, created on first use
-  /// with make_engine_or_default semantics (unknown names warn once and
-  /// fall back to "hybrid").  Engines are stateless across run() calls,
-  /// so one instance per name serves the whole session.
-  Engine& engine(std::string_view name);
-
   /// Runs one finalized DAG on the session team under the named engine
-  /// and folds the run's counters into totals().
+  /// (run_engine: unknown names warn once and run "hybrid") and folds the
+  /// run's counters into totals().
   EngineStats run(const TaskGraph& graph, const ExecFn& exec,
                   const RunHooks& hooks = {},
                   std::string_view engine_name = "hybrid");
@@ -126,8 +119,6 @@ class Session {
 
  private:
   ThreadTeam team_;
-  // std::less<> enables heterogeneous string_view lookup.
-  std::map<std::string, std::unique_ptr<Engine>, std::less<>> engines_;
   EngineStats totals_;
   std::uint64_t runs_ = 0;
 };

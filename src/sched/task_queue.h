@@ -73,10 +73,9 @@ class PriorityTaskQueue {
 
 /// Sharded MPMC priority queue for the global dynamic section.  Each shard
 /// is cache-line padded so pushes/pops on different shards never share a
-/// line.  Pushers spread round-robin (or target a shard explicitly — the
-/// locality-tags policy maps tag -> shard); poppers scan all shards
-/// starting from a preferred one, so a thread drains "its" shard first and
-/// only then poaches.
+/// line.  Pushers spread by task id; poppers scan all shards starting
+/// from a preferred one, so a thread drains "its" shard first and only
+/// then poaches.
 class ShardedReadyQueue {
  public:
   explicit ShardedReadyQueue(int nshards)
@@ -91,12 +90,6 @@ class ShardedReadyQueue {
   void push(std::uint64_t key, int task) {
     const std::uint32_t h = static_cast<std::uint32_t>(task) * 2654435761u;
     shards_[h % shards_.size()].q.push(key, task);
-  }
-
-  /// Push to a specific shard (locality-tagged tasks).
-  void push_to(int shard, std::uint64_t key, int task) {
-    shards_[static_cast<std::size_t>(shard) % shards_.size()].q.push(key,
-                                                                     task);
   }
 
   /// Pops from `preferred` first, then the other shards round-robin.

@@ -1,8 +1,6 @@
 #include "src/sched/topology.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -11,20 +9,12 @@
 #include <utility>
 
 #ifdef __linux__
-#include <pthread.h>
 #include <sched.h>
 #include <sys/stat.h>
 #endif
 
 namespace calu::sched {
 namespace {
-
-// Fallback steal-cost estimates (ns) per class, used until (or instead
-// of) measurement: round numbers in the right rank order, taken from the
-// usual shared-L1 / shared-LLC / interconnect latency regimes.  Only the
-// *order* matters for victim selection; measurement refines per machine.
-constexpr double kDefaultClassNs[kStealClassCount] = {25.0,  40.0,  80.0,
-                                                      130.0, 300.0, 400.0};
 
 bool dir_exists(const std::string& path) {
 #ifdef __linux__
@@ -55,77 +45,7 @@ bool read_int(const std::string& path, int& out) {
   return true;
 }
 
-/// Pins the calling thread to `cpu` (best effort; returns success).
-bool pin_self(int cpu) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
-/// One cache-line ping-pong pair: returns mean round-trip ns over
-/// `iters` bounces, threads pinned (best effort) to cpu_a / cpu_b.
-double ping_pong_ns(int cpu_a, int cpu_b, int iters) {
-  alignas(64) std::atomic<int> ball{0};
-  std::atomic<bool> go{false};
-  double elapsed_ns = 0.0;
-
-  std::thread responder([&] {
-    pin_self(cpu_b);
-    go.store(true, std::memory_order_release);
-    for (int i = 0; i < iters; ++i) {
-      int spins = 0;
-      while (ball.load(std::memory_order_acquire) != 1)
-        if (++spins > 4096) {
-          std::this_thread::yield();  // survives a single-cpu machine
-          spins = 0;
-        }
-      ball.store(0, std::memory_order_release);
-    }
-  });
-
-  // The timing side gets a thread of its own too: pinning the caller
-  // would leave the thread that first asks for the topology on cpu_a.
-  std::thread initiator([&] {
-    pin_self(cpu_a);
-    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      ball.store(1, std::memory_order_release);
-      int spins = 0;
-      while (ball.load(std::memory_order_acquire) != 0)
-        if (++spins > 4096) {
-          std::this_thread::yield();
-          spins = 0;
-        }
-    }
-    elapsed_ns = std::chrono::duration<double, std::nano>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-  });
-  initiator.join();
-  responder.join();
-  return elapsed_ns / iters;
-}
-
 }  // namespace
-
-const char* steal_class_name(StealClass c) {
-  switch (c) {
-    case StealClass::kSmtSibling: return "smt";
-    case StealClass::kSharedL2: return "l2";
-    case StealClass::kSharedL3: return "l3";
-    case StealClass::kSamePackage: return "pkg";
-    case StealClass::kCrossPackage: return "xpkg";
-    case StealClass::kUnknown: break;
-  }
-  return "unk";
-}
 
 std::vector<int> parse_cpu_list(const std::string& text) {
   std::vector<int> cpus;
@@ -177,7 +97,7 @@ Topology Topology::probe(const std::string& root, std::vector<int> allowed) {
       info.package = 0;
       info.core = idx;  // every cpu its own core...
       info.l2 = idx;
-      info.l3 = 0;  // ...sharing one LLC: distinct cpus are kSharedL3
+      info.l3 = 0;  // ...sharing one LLC
       topo.cpus_.push_back(info);
     }
     topo.finalize();
@@ -241,26 +161,6 @@ Topology Topology::probe(const std::string& root, std::vector<int> allowed) {
   return topo;
 }
 
-Topology Topology::synthetic(int packages, int l3_per_package,
-                             int cores_per_l3, int smt) {
-  Topology topo;
-  int cpu = 0, core = 0, l3 = 0;
-  for (int p = 0; p < packages; ++p)
-    for (int g = 0; g < l3_per_package; ++g, ++l3)
-      for (int c = 0; c < cores_per_l3; ++c, ++core)
-        for (int s = 0; s < smt; ++s, ++cpu) {
-          CpuInfo info;
-          info.cpu = cpu;
-          info.package = p;
-          info.core = core;
-          info.l2 = core;  // one private L2 per core
-          info.l3 = l3;
-          topo.cpus_.push_back(info);
-        }
-  topo.finalize();
-  return topo;
-}
-
 void Topology::finalize() {
   std::sort(cpus_.begin(), cpus_.end(),
             [](const CpuInfo& a, const CpuInfo& b) { return a.cpu < b.cpu; });
@@ -281,27 +181,6 @@ void Topology::finalize() {
   for (const auto& [core, n] : smt_seen) smt_ways_ = std::max(smt_ways_, n);
 }
 
-int Topology::index_of(int cpu) const {
-  auto it = std::lower_bound(
-      cpus_.begin(), cpus_.end(), cpu,
-      [](const CpuInfo& info, int c) { return info.cpu < c; });
-  if (it == cpus_.end() || it->cpu != cpu) return -1;
-  return static_cast<int>(it - cpus_.begin());
-}
-
-StealClass Topology::classify(int cpu_a, int cpu_b) const {
-  const int ia = index_of(cpu_a);
-  const int ib = index_of(cpu_b);
-  if (ia < 0 || ib < 0) return StealClass::kUnknown;
-  const CpuInfo& a = cpus_[ia];
-  const CpuInfo& b = cpus_[ib];
-  if (a.core == b.core) return StealClass::kSmtSibling;
-  if (a.l2 == b.l2) return StealClass::kSharedL2;
-  if (a.l3 == b.l3) return StealClass::kSharedL3;
-  if (a.package == b.package) return StealClass::kSamePackage;
-  return StealClass::kCrossPackage;
-}
-
 std::vector<int> Topology::pin_order() const {
   std::vector<const CpuInfo*> order;
   order.reserve(cpus_.size());
@@ -319,29 +198,6 @@ std::vector<int> Topology::pin_order() const {
   cpus.reserve(order.size());
   for (const CpuInfo* info : order) cpus.push_back(info->cpu);
   return cpus;
-}
-
-void Topology::measure_class_latencies(int iters) {
-  // One representative pair per class — mctop measures the full p×p
-  // matrix, but the engine only acts on the class, so a sample per class
-  // is enough and keeps the probe to a few ms.
-  const int n = num_cpus();
-  for (int i = 0; i < n; ++i)
-    for (int j = i + 1; j < n; ++j) {
-      const StealClass c = classify(cpus_[i].cpu, cpus_[j].cpu);
-      double& slot = class_ns_[static_cast<int>(c)];
-      if (slot >= 0) continue;
-      slot = ping_pong_ns(cpus_[i].cpu, cpus_[j].cpu, iters);
-    }
-}
-
-void Topology::set_class_latencies(const double (&ns)[kStealClassCount]) {
-  for (int c = 0; c < kStealClassCount; ++c) class_ns_[c] = ns[c];
-}
-
-double Topology::steal_cost(StealClass c) const {
-  const double measured = class_ns_[static_cast<int>(c)];
-  return measured >= 0 ? measured : kDefaultClassNs[static_cast<int>(c)];
 }
 
 std::string Topology::summary() const {
@@ -370,13 +226,8 @@ std::vector<int> affinity_cpus() {
 }
 
 const Topology& system_topology() {
-  static const Topology topo = [] {
-    Topology t = Topology::probe(Topology::kDefaultSysfsRoot, affinity_cpus());
-    // A couple thousand bounces per class ≈ a few ms once per process;
-    // single-cpu machines have no pairs, so this is free there.
-    t.measure_class_latencies(/*iters=*/2000);
-    return t;
-  }();
+  static const Topology topo =
+      Topology::probe(Topology::kDefaultSysfsRoot, affinity_cpus());
   return topo;
 }
 

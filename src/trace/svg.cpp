@@ -22,15 +22,6 @@ const char* kind_color(Kind k) {
   return "#7f7f7f";
 }
 
-// Steal-distance outline palette, cold (near) to hot (far): SMT sibling,
-// shared L2, shared L3, same package, cross package, unknown.  A glance
-// at a numa-hierarchical Gantt chart shows locality as stroke warmth.
-const char* steal_class_color(int c) {
-  static const char* kColors[] = {"#1f77b4", "#17becf", "#9467bd",
-                                  "#ff7f0e", "#d62728", "#000000"};
-  return (c >= 0 && c < 6) ? kColors[c] : "#000000";
-}
-
 }  // namespace
 
 std::string svg_timeline(const Recorder& rec, int width_px, int lane_px) {
@@ -54,14 +45,10 @@ std::string svg_timeline(const Recorder& rec, int width_px, int lane_px) {
            << (w < 0.3 ? 0.3 : w) << "' height='" << lane_px - 2
            << "' fill='" << kind_color(e.kind) << "'";
         // Promoted look-ahead tasks get a gold outline so panel overlap
-        // is visible at a glance; stolen tasks with a known steal
-        // distance an outline colored by class (near=cool, far=warm);
-        // plain dynamic-queue tasks a thin black one.
+        // is visible at a glance; other dynamic or stolen tasks a thin
+        // black one.
         if (e.promoted)
           os << " stroke='#ffbf00' stroke-width='0.8'";
-        else if (e.steal_class >= 0)
-          os << " stroke='" << steal_class_color(e.steal_class)
-             << "' stroke-width='0.6'";
         else if (e.dynamic)
           os << " stroke='black' stroke-width='0.3'";
         os << "/>\n";

@@ -41,12 +41,8 @@ TimelineStats analyze(const Recorder& rec) {
       ++ts.tasks;
       if (e.dynamic) ++ts.dynamic_tasks;
       if (e.promoted) ++ts.promoted_tasks;
-      if (e.steal_class >= 0 && e.steal_class < kStealClassCount)
-        ++ts.stolen_by_class[e.steal_class];
     }
     s.total_promoted += ts.promoted_tasks;
-    for (int c = 0; c < kStealClassCount; ++c)
-      s.total_stolen_by_class[c] += ts.stolen_by_class[c];
     ts.idle = std::max(0.0, s.makespan - ts.busy);
     s.total_busy += ts.busy;
     s.total_idle += ts.idle;
@@ -109,28 +105,6 @@ std::string summarize(const TimelineStats& ts,
     std::snprintf(buf, sizeof(buf),
                   "look-ahead: %d promoted panel tasks served\n",
                   ts.total_promoted);
-    out += buf;
-  }
-  int classified = 0;
-  for (int c = 0; c < kStealClassCount; ++c)
-    classified += ts.total_stolen_by_class[c];
-  if (classified > 0) {
-    // Steal-distance histogram (numa-hierarchical): how far dynamic work
-    // travelled.  "cross-L3" is everything past a shared last-level
-    // cache — the traffic first-touch placement tries to avoid.
-    const int cross = ts.total_stolen_by_class[3] +
-                      ts.total_stolen_by_class[4] +
-                      ts.total_stolen_by_class[5];
-    out += "steal distance:";
-    for (int c = 0; c < kStealClassCount; ++c) {
-      std::snprintf(
-          buf, sizeof(buf), " %s=%d",
-          sched::steal_class_name(static_cast<sched::StealClass>(c)),
-          ts.total_stolen_by_class[c]);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf), " (cross-L3 %.1f%%)\n",
-                  100.0 * cross / classified);
     out += buf;
   }
   out += "engine: ";

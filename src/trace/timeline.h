@@ -19,8 +19,6 @@ struct ThreadStats {
   int tasks = 0;
   int dynamic_tasks = 0;   // tasks pulled from the global queue
   int promoted_tasks = 0;  // look-ahead promotions served by this thread
-  /// Tasks this thread stole, bucketed by Event::steal_class distance.
-  int stolen_by_class[kStealClassCount] = {};
 };
 
 struct TimelineStats {
@@ -29,9 +27,6 @@ struct TimelineStats {
   double total_idle = 0.0;
   double idle_fraction = 0.0;          // total idle / (p * makespan)
   int total_promoted = 0;              // promotion events across threads
-  /// Steal-distance histogram over all threads (numa-hierarchical runs;
-  /// all-zero when the engine did not stamp steal classes).
-  int total_stolen_by_class[kStealClassCount] = {};
   std::vector<ThreadStats> threads;
 
   /// Fraction of threads whose *last* task ends at or before

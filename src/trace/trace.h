@@ -31,11 +31,6 @@ inline constexpr int kKindCount = 8;
 
 const char* kind_name(Kind k);
 
-/// Number of steal-distance classes a scheduler may stamp on an event
-/// (mirrors sched::StealClass — trace stays independent of the sched
-/// layer, and engine.h static_asserts the two constants agree).
-inline constexpr int kStealClassCount = 6;
-
 struct Event {
   Kind kind = Kind::Other;
   std::int32_t step = -1;  // K
@@ -47,12 +42,6 @@ struct Event {
   /// Served from a look-ahead urgent queue ("priority-lookahead" panel
   /// promotion) — the timeline marks these to show panel overlap.
   bool promoted = false;
-  /// Steal distance between thief and victim when this task was stolen
-  /// (sched::StealClass value: 0=SMT sibling … 4=cross-package,
-  /// 5=unknown), or -1 for tasks that were not stolen.  Lets the
-  /// timeline/SVG show *how far* dynamic work travelled, not just that
-  /// it moved.
-  std::int8_t steal_class = -1;
 };
 
 class Recorder {

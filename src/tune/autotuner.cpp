@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "src/blas/microkernel.h"
@@ -14,23 +13,6 @@
 
 namespace calu::tune {
 namespace {
-
-/// Parses the leading "<N>pkg/<M>l3" counts out of a topology summary
-/// string; {1, 1} when the shape is unrecognized (flat machine).
-struct TopoShape {
-  int packages = 1;
-  int l3_groups = 1;
-};
-
-TopoShape parse_topology(const std::string& summary) {
-  TopoShape s;
-  int pkg = 0, l3 = 0;
-  if (std::sscanf(summary.c_str(), "%dpkg/%dl3", &pkg, &l3) == 2) {
-    s.packages = std::max(1, pkg);
-    s.l3_groups = std::max(1, l3);
-  }
-  return s;
-}
 
 /// The nominal size used when a key carries no problem size (n = 0):
 /// resolutions still need a model instance, and a mid-range dense shape
@@ -84,13 +66,7 @@ std::vector<int> b_candidates(int n) {
 
 std::vector<std::string> engine_candidates(const Key& key) {
   if (key.threads <= 1) return {"hybrid"};  // engines coincide at p = 1
-  std::vector<std::string> es{"hybrid", "priority-lookahead"};
-  const TopoShape topo = parse_topology(key.topology);
-  // Distance-aware stealing only has distances to exploit when the
-  // machine has more than one last-level-cache group.
-  if (topo.packages > 1 || topo.l3_groups > 1)
-    es.push_back("numa-hierarchical");
-  return es;
+  return {"hybrid", "priority-lookahead"};
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //   model seed  ->  Theorem 1 + the Section-6 overhead terms rank a small
 //                   candidate grid (dratio from min_dynamic_fraction, b
 //                   from the task-granularity trade, engine from the
-//                   topology shape);
+//                   team size);
 //   calibrate   ->  the kTopK best-ranked candidates are measured through
 //                   an injectable MeasureFn (production: one real small
 //                   factorization per candidate; tests: synthetic costs,

@@ -3,7 +3,7 @@
 // The solver-service layer promises two things (ISSUE 5 acceptance):
 //  1. Bit-identity: N jobs run back-to-back through one persistent
 //     sched::Session produce exactly the factors, pivots, and solutions
-//     of N one-shot calls — across every registered engine and both
+//     of N one-shot calls — across every engine and both
 //     pack_panels modes (the engine-matrix style, extended to sessions).
 //  2. Amortization: threads are spawned once per session, asserted by
 //     counting ThreadTeam constructions (never by timing).
@@ -24,7 +24,7 @@
 #include "src/core/solve.h"
 #include "src/layout/matrix.h"
 #include "src/layout/packed.h"
-#include "src/sched/engine_registry.h"
+#include "src/sched/engine.h"
 #include "src/sched/session.h"
 #include "src/sched/thread_team.h"
 #include "tests/test_util.h"
@@ -224,20 +224,6 @@ TEST(Session, ThreadsSpawnOncePerSession) {
 
 // ------------------------------------------------------ session state ---
 
-TEST(Session, EngineInstancesAreCachedByName) {
-  sched::Session session(sched::SessionOptions{1, false});
-  sched::Engine& e1 = session.engine("work-stealing");
-  sched::Engine& e2 = session.engine("work-stealing");
-  EXPECT_EQ(&e1, &e2);
-  EXPECT_EQ(e1.name(), "work-stealing");
-  // Unknown names degrade to hybrid (make_engine_or_default semantics),
-  // and the fallback instance is cached under the requested name.
-  sched::Engine& u1 = session.engine("batch-test-unknown-engine");
-  sched::Engine& u2 = session.engine("batch-test-unknown-engine");
-  EXPECT_EQ(&u1, &u2);
-  EXPECT_EQ(u1.name(), "hybrid");
-}
-
 TEST(Session, TotalsAccumulateAcrossRuns) {
   sched::Session session(sched::SessionOptions{4, false});
   const Options opt = batch_options("hybrid", true);
@@ -280,7 +266,7 @@ TEST(Session, MixedWorkloadSharesOneTeam) {
 
 // The tentpole acceptance matrix: a fused submission (one engine run for
 // the whole batch) must produce exactly the factors and pivots of the
-// sequential mode, for every registered engine and both pack modes, on
+// sequential mode, for every engine and both pack modes, on
 // mixed sizes including a tall-skinny edge-tile job.
 TEST(BatchedRun, FusedBitIdenticalToSequentialAcrossEnginesAndPackModes) {
   for (const std::string& engine : sched::engine_names())

@@ -15,7 +15,7 @@
 #include "src/core/solve.h"
 #include "src/layout/matrix.h"
 #include "src/model/lu_cost.h"
-#include "src/sched/engine_registry.h"
+#include "src/sched/engine.h"
 #include "src/sched/session.h"
 #include "tests/test_util.h"
 
@@ -397,7 +397,7 @@ TEST(CaluPlan, DotExportContainsTasks) {
   EXPECT_NE(dot.find("(dynamic)"), std::string::npos);
 }
 
-TEST(CaluPlan, WholeJobPlanIsOneDynamicUntaggedTask) {
+TEST(CaluPlan, WholeJobPlanIsOneDynamicTask) {
   // One task any thread may run, so a fused batch of whole-job plans
   // balances under every engine and d-ratio.
   layout::Tiling t{64, 64, 16};
@@ -406,7 +406,6 @@ TEST(CaluPlan, WholeJobPlanIsOneDynamicUntaggedTask) {
   const sched::Task& task = plan.graph.task(0);
   EXPECT_EQ(task.kind, trace::Kind::P);
   EXPECT_EQ(task.owner, sched::kDynamicOwner);
-  EXPECT_EQ(task.tag, -1);
   EXPECT_EQ(plan.npanels, 4);
   EXPECT_EQ(plan.nstatic, 0);
 }

@@ -132,11 +132,11 @@ std::vector<CholCase> chol_cases() {
     cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, n, 16, 4, 0.25});
   for (double d : {0.0, 0.5, 1.0})
     cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 16, 8, d});
-  // Locality-tagged dynamic queues.
+  // Work stealing, fully dynamic and at a hybrid split.
   cases.push_back({Schedule::Dynamic, Layout::BlockCyclic, 128, 16, 4, 1.0,
-                   "locality-tags"});
+                   "work-stealing"});
   cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 128, 16, 8, 0.3,
-                   "locality-tags"});
+                   "work-stealing"});
   return cases;
 }
 
@@ -150,7 +150,7 @@ TEST(Cholesky, DeterministicAcrossSchedules) {
   o.b = 16;
   o.threads = 4;
   o.pin_threads = false;
-  Matrix l_static, l_dyn, l_loc;
+  Matrix l_static, l_dyn, l_ws;
   {
     Matrix a = a0;
     o.schedule = Schedule::Static;
@@ -166,12 +166,12 @@ TEST(Cholesky, DeterministicAcrossSchedules) {
   {
     Matrix a = a0;
     o.schedule = Schedule::Dynamic;
-    o.engine = "locality-tags";
+    o.engine = "work-stealing";
     core::potrf(a, o);
-    l_loc = a;
+    l_ws = a;
   }
   EXPECT_EQ(test::max_abs_diff(l_static, l_dyn), 0.0);
-  EXPECT_EQ(test::max_abs_diff(l_static, l_loc), 0.0);
+  EXPECT_EQ(test::max_abs_diff(l_static, l_ws), 0.0);
 }
 
 TEST(Cholesky, SolveRoundTrip) {
@@ -223,25 +223,6 @@ TEST(Cholesky, TaskCountIsClosedForm) {
     expected += r * (r - 1) / 2;
   }
   EXPECT_EQ(f.stats.tasks, expected);
-}
-
-// ----------------------------------------------- locality-tag engine ---
-
-TEST(LocalityTags, CaluCorrectAndDeterministic) {
-  const int n = 360;
-  Matrix a0 = Matrix::random(n, n, 413);
-  Options o;
-  o.b = 48;
-  o.threads = 4;
-  o.pin_threads = false;
-  o.schedule = Schedule::Dynamic;
-  Matrix plain = a0, tagged = a0;
-  core::Factorization f1 = core::getrf(plain, o);
-  o.engine = "locality-tags";
-  core::Factorization f2 = core::getrf(tagged, o);
-  test::expect_tiled(f1.stats);
-  EXPECT_EQ(f1.ipiv, f2.ipiv);
-  EXPECT_EQ(test::max_abs_diff(plain, tagged), 0.0);
 }
 
 }  // namespace

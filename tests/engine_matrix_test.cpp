@@ -1,10 +1,9 @@
 // engine_matrix_test.cpp — the cross-engine conformance matrix: every
-// registered engine × thread counts {1,2,4,8} × pack_panels on/off ×
+// engine × thread counts {1,2,4,8} × pack_panels on/off ×
 // {CALU, Cholesky, incremental pivoting}, asserted bit-identical to the
 // 1-thread hybrid reference.
 //
-// With five built-in executors (and user engines plugging in through the
-// registry) correctness can no longer be spot-checked per engine: this
+// With three engines correctness is not spot-checked per engine: this
 // matrix is the contract a new engine must pass to land.  It holds
 // because the task graph carries every numerical dependency — an engine
 // only chooses *order*, never *operands* — so factors and pivot
@@ -23,7 +22,7 @@
 #include "src/core/incpiv.h"
 #include "src/layout/matrix.h"
 #include "src/layout/packed.h"
-#include "src/sched/engine_registry.h"
+#include "src/sched/engine.h"
 #include "src/sched/session.h"
 #include "tests/test_util.h"
 

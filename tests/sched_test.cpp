@@ -1,5 +1,5 @@
-// sched_test.cpp — thread team, queues, the lock-free deque, the engine
-// registry, and the DAG executors on synthetic graphs.
+// sched_test.cpp — thread team, queues, the lock-free deque, engine
+// selection by name, and the DAG executors on synthetic graphs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "src/sched/chase_lev_deque.h"
 #include "src/sched/dag.h"
 #include "src/sched/engine.h"
-#include "src/sched/engine_registry.h"
 #include "src/sched/session.h"
 #include "src/sched/task_queue.h"
 #include "src/sched/thread_team.h"
@@ -402,16 +401,6 @@ TEST(ShardedReadyQueue, PoppersFindWorkOnAnyShard) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(ShardedReadyQueue, PushToTargetsShard) {
-  ShardedReadyQueue q(3);
-  q.push_to(2, 5, 42);
-  int t = -1;
-  // Preferred shard 2 must find it on the first probe; the scan from any
-  // other shard still reaches it.
-  ASSERT_TRUE(q.try_pop(t, 2));
-  EXPECT_EQ(t, 42);
-}
-
 // --------------------------------------------------------- TaskGraph ---
 
 TEST(TaskGraph, CsrSuccessors) {
@@ -443,7 +432,7 @@ TEST(TaskGraph, AppendOffsetsIdsAndRekeysPriorities) {
     t.j = 4;
     t.priority = static_cast<std::uint64_t>(10 + i);
     t.owner = i;
-    t.tag = 1 - i;
+    t.promotable = i == 0;
     a.add_task(t);
   }
   a.add_edge(0, 1);
@@ -480,7 +469,8 @@ TEST(TaskGraph, AppendOffsetsIdsAndRekeysPriorities) {
   EXPECT_EQ(fused.task(0).j, 4);
   EXPECT_EQ(fused.task(0).owner, 0);
   EXPECT_EQ(fused.task(1).owner, 1);
-  EXPECT_EQ(fused.task(0).tag, 1);
+  EXPECT_TRUE(fused.task(0).promotable);
+  EXPECT_FALSE(fused.task(1).promotable);
   EXPECT_EQ(fused.task(2).owner, kDynamicOwner);
 
   fused.finalize();
@@ -572,23 +562,13 @@ void check_topological(const TaskGraph& g, const ExecLog& log) {
   }
 }
 
-// The five built-in registry names (user engines registered by later
-// tests must not be invoked outside their own test).
-const char* const kBuiltinEngines[] = {"hybrid", "locality-tags",
-                                       "work-stealing", "numa-hierarchical",
-                                       "priority-lookahead"};
+using sched::run_engine;
 
-sched::EngineStats run_engine(const char* name, ThreadTeam& team,
-                              const TaskGraph& g, const sched::ExecFn& exec,
-                              const sched::RunHooks& hooks = {}) {
-  return sched::make_engine(name)->run(team, g, exec, hooks);
-}
-
-// Every engine x team size on synthetic DAGs, through the registry.
+// Every engine x team size on synthetic DAGs, selected by name.
 class ExecutorTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
-  const char* engine() const { return std::get<0>(GetParam()); }
+  const std::string& engine() const { return std::get<0>(GetParam()); }
   int threads() const { return std::get<1>(GetParam()); }
 
   /// Runs `g` under the parameter engine and checks the stats contract
@@ -599,12 +579,6 @@ class ExecutorTest
               static_cast<std::uint64_t>(g.num_tasks()));
     EXPECT_GE(st.steal_attempts, st.steals);
     EXPECT_EQ(st.pinned_threads, team.pinned_count());
-    if (std::string(engine()) == "work-stealing" ||
-        std::string(engine()) == "numa-hierarchical") {
-      std::uint64_t classified = 0;
-      for (std::uint64_t n : st.steals_by_class) classified += n;
-      EXPECT_EQ(classified, st.steals);
-    }
   }
 };
 
@@ -678,7 +652,7 @@ std::string engine_threads_name(
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesByThreads, ExecutorTest,
-    ::testing::Combine(::testing::ValuesIn(kBuiltinEngines),
+    ::testing::Combine(::testing::ValuesIn(sched::engine_names()),
                        ::testing::Values(1, 2, 4, 8)),
     engine_threads_name);
 
@@ -764,132 +738,40 @@ TEST(Executor, GlobalQueueFollowsPriorityOrder) {
   for (int i = 0; i < n; ++i) EXPECT_EQ(order[i], n - 1 - i);
 }
 
-TEST(Executor, LocalityTagsServeOwnBucketFirst) {
-  // All-dynamic tasks tagged per thread, no dependencies.  Every body
-  // waits at a p-thread barrier, so the team advances one task per thread
-  // per round whether or not its threads run at the same time: no bucket
-  // empties before the others, and each thread drains exactly its own
-  // tag's bucket.
-  const int p = 4;
-  ThreadTeam team(p, false);
+// ------------------------------------------------- engine by name ---
+
+TEST(RunEngine, NamesAreTheThreeEngines) {
+  EXPECT_EQ(sched::engine_names(),
+            (std::vector<std::string>{"hybrid", "priority-lookahead",
+                                      "work-stealing"}));
+}
+
+/// `n` dependency-free dynamic tasks.  Only "hybrid" serves them from a
+/// shared queue (dynamic_pops == n); the other engines file unowned tasks
+/// in per-thread queues.
+TaskGraph dynamic_tasks(int n) {
   TaskGraph g;
-  const int n = 800;
-  for (int i = 0; i < n; ++i) {
-    Task t;
-    t.tag = i % p;
-    t.priority = static_cast<std::uint64_t>(i);
-    g.add_task(t);
-  }
+  for (int i = 0; i < n; ++i) g.add_task(Task{});
   g.finalize();
-  std::vector<std::atomic<int>> ran_by(n);
-  RoundBarrier barrier(p);
-  run_engine("locality-tags", team, g, [&](int id, int tid) {
-    ran_by[id].store(tid);
-    barrier.arrive_and_wait();
-  });
-  int matches = 0;
-  for (int i = 0; i < n; ++i)
-    if (ran_by[i].load() == g.task(i).tag) ++matches;
-  EXPECT_EQ(matches, n);
+  return g;
 }
 
-TEST(Executor, LocalityTagsCompleteWithSkewedTags) {
-  // All tasks tagged to thread 0: other threads must still finish the work
-  // by falling back round-robin (no starvation/deadlock).
-  ThreadTeam team(4, false);
-  TaskGraph g;
-  for (int i = 0; i < 200; ++i) {
-    Task t;
-    t.tag = 0;
-    g.add_task(t);
-  }
-  g.finalize();
-  std::atomic<int> ran{0};
-  run_engine("locality-tags", team, g, [&](int, int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 200);
-}
-
-TEST(Executor, UntaggedTasksStillRunUnderLocalityPolicy) {
-  ThreadTeam team(3, false);
-  TaskGraph g;
-  for (int i = 0; i < 100; ++i) g.add_task(Task{});  // tag = -1
-  g.finalize();
-  std::atomic<int> ran{0};
-  run_engine("locality-tags", team, g, [&](int, int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 100);
-}
-
-// ---------------------------------------------- engine registry / interface
-
-TEST(EngineRegistry, BuiltinsAreRegistered) {
-  for (const char* name : kBuiltinEngines) {
-    EXPECT_TRUE(sched::engine_registered(name)) << name;
-    auto eng = sched::make_engine(name);
-    ASSERT_NE(eng, nullptr) << name;
-    EXPECT_EQ(eng->name(), name);
-  }
-  const auto names = sched::engine_names();
-  EXPECT_GE(names.size(), 5u);
-}
-
-TEST(EngineRegistry, NamesAreSortedAndStable) {
-  const auto first = sched::engine_names();
-  ASSERT_GE(first.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(first.begin(), first.end()));
-  // A second enumeration (and one after a failed registration) must
-  // return the identical ordering — callers index engines by position in
-  // sweep tables.
-  sched::register_engine("hybrid", [] {
-    return std::unique_ptr<sched::Engine>();
-  });
-  EXPECT_EQ(sched::engine_names(), first);
-}
-
-TEST(EngineRegistry, DuplicateRegistrationRejected) {
-  // The registry keeps the factory for the process lifetime and later
-  // tests enumerate every registered name, so the counter must outlive
-  // this TestBody — a by-reference capture of a stack local dangles.
-  static std::atomic<int> first_built{0};
-  ASSERT_TRUE(sched::register_engine("dup-probe", [] {
-    first_built.fetch_add(1);
-    return sched::make_engine("hybrid");
-  }));
-  // Second registration under the same name must be rejected, and the
-  // original factory must keep serving the name.
-  EXPECT_FALSE(sched::register_engine("dup-probe", [] {
-    ADD_FAILURE() << "hijacking factory must never be invoked";
-    return sched::make_engine("hybrid");
-  }));
-  auto eng = sched::make_engine("dup-probe");
-  ASSERT_NE(eng, nullptr);
-  EXPECT_EQ(first_built.load(), 1);
-}
-
-TEST(EngineRegistry, BuiltinsCannotBeReplaced) {
-  for (const char* name : kBuiltinEngines) {
-    EXPECT_FALSE(sched::register_engine(
-        name, [] { return std::unique_ptr<sched::Engine>(); }))
-        << name;
-    auto eng = sched::make_engine(name);
-    ASSERT_NE(eng, nullptr) << name;  // original factory intact
-    EXPECT_EQ(eng->name(), name);
-  }
-}
-
-TEST(EngineRegistry, UnknownNameReturnsNull) {
-  EXPECT_EQ(sched::make_engine("no-such-engine"), nullptr);
-  EXPECT_FALSE(sched::engine_registered("no-such-engine"));
-}
-
-TEST(EngineRegistry, UnknownNameFallsBackToHybrid) {
+TEST(RunEngine, UnknownNameFallsBackToHybrid) {
   // The driver path: a typo'd Options::engine must degrade to hybrid (with
-  // a stderr warning), never crash a release build on a null engine.
-  auto eng = sched::make_engine_or_default("no-such-engine");
-  ASSERT_NE(eng, nullptr);
-  EXPECT_EQ(eng->name(), "hybrid");
+  // a stderr warning), never crash a release build.
+  ThreadTeam team(2, false);
+  const TaskGraph g = dynamic_tasks(10);
+  std::atomic<int> ran{0};
+  const sched::EngineStats st =
+      run_engine("no-such-engine", team, g, [&](int, int) { ran++; });
+  EXPECT_EQ(ran.load(), 10);
+  EXPECT_EQ(st.dynamic_pops, 10u);
+  for (const char* name : {"priority-lookahead", "work-stealing"})
+    EXPECT_EQ(run_engine(name, team, g, [](int, int) {}).dynamic_pops, 0u)
+        << name;
 }
 
-TEST(EngineRegistry, UnknownNameWarnsOnceNamingEngineAndFallback) {
+TEST(RunEngine, UnknownNameWarnsOnceNamingEngineAndFallback) {
   // The fallback sits on per-factorization paths (every job of a batch
   // resolves its engine), so the warning must fire once per distinct
   // unknown name — naming both the typo and the fallback — and then go
@@ -899,73 +781,36 @@ TEST(EngineRegistry, UnknownNameWarnsOnceNamingEngineAndFallback) {
   static std::atomic<int> invocation{0};
   const std::string probe =
       "warn-once-probe-" + std::to_string(invocation.fetch_add(1));
-  ::testing::internal::CaptureStderr();
-  auto e1 = sched::make_engine_or_default(probe);
-  const std::string first = ::testing::internal::GetCapturedStderr();
-  ASSERT_NE(e1, nullptr);
-  EXPECT_EQ(e1->name(), "hybrid");
+  ThreadTeam team(1, false);
+  const TaskGraph g = dynamic_tasks(1);
+  const auto run = [&](const std::string& name) {
+    ::testing::internal::CaptureStderr();
+    const sched::EngineStats st = run_engine(name, team, g, [](int, int) {});
+    EXPECT_EQ(st.dynamic_pops, 1u) << name;  // ran hybrid
+    return ::testing::internal::GetCapturedStderr();
+  };
+  const std::string first = run(probe);
   EXPECT_NE(first.find(probe), std::string::npos) << first;
   EXPECT_NE(first.find("hybrid"), std::string::npos) << first;
 
-  ::testing::internal::CaptureStderr();
-  auto e2 = sched::make_engine_or_default(probe);
-  const std::string second = ::testing::internal::GetCapturedStderr();
-  ASSERT_NE(e2, nullptr);
-  EXPECT_EQ(e2->name(), "hybrid");
+  const std::string second = run(probe);
   EXPECT_TRUE(second.empty()) << "repeat warning: " << second;
 
   // A *different* unknown name still gets its own (single) warning.
   const std::string probe2 = probe + "-distinct";
-  ::testing::internal::CaptureStderr();
-  auto e3 = sched::make_engine_or_default(probe2);
-  const std::string third = ::testing::internal::GetCapturedStderr();
-  ASSERT_NE(e3, nullptr);
+  const std::string third = run(probe2);
   EXPECT_NE(third.find(probe2), std::string::npos) << third;
 }
 
-// A user-registered engine is first-class: it resolves by name and runs.
-// (It delegates to hybrid so the every-registered-engine DAG test below
-// stays meaningful if it executes after this one.)
-class DelegatingEngine final : public sched::Engine {
- public:
-  const std::string& name() const override {
-    static const std::string n = "test-delegating";
-    return n;
-  }
-  sched::EngineStats run(ThreadTeam& team, const TaskGraph& graph,
-                         const sched::ExecFn& exec,
-                         const sched::RunHooks& hooks) override {
-    return sched::make_engine("hybrid")->run(team, graph, exec, hooks);
-  }
-};
-
-TEST(EngineRegistry, UserEnginePlugsIn) {
-  const bool registered = sched::register_engine(
-      "test-delegating", [] { return std::make_unique<DelegatingEngine>(); });
-  EXPECT_TRUE(registered);
-  auto eng = sched::make_engine("test-delegating");
-  ASSERT_NE(eng, nullptr);
-  ThreadTeam team(2, false);
-  TaskGraph g;
-  for (int i = 0; i < 10; ++i) g.add_task(Task{});
-  g.finalize();
-  std::atomic<int> ran{0};
-  eng->run(team, g, [&](int, int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 10);
-}
-
-// Every registered engine must execute a diamond DAG in dependency order:
+// Every engine must execute a diamond DAG in dependency order:
 // 0 -> {1, 2} -> 3.
-TEST(EngineRegistry, EveryEngineRunsDiamondInDependencyOrder) {
+TEST(RunEngine, EveryEngineRunsDiamondInDependencyOrder) {
   for (const std::string& name : sched::engine_names()) {
-    auto eng = sched::make_engine(name);
-    ASSERT_NE(eng, nullptr) << name;
     TaskGraph g;
     for (int i = 0; i < 4; ++i) {
       Task t;
       t.priority = static_cast<std::uint64_t>(i);
       t.owner = i == 1 ? 0 : kDynamicOwner;  // mix static and dynamic
-      t.tag = i % 2;
       g.add_task(t);
     }
     g.add_edge(0, 1);
@@ -975,7 +820,7 @@ TEST(EngineRegistry, EveryEngineRunsDiamondInDependencyOrder) {
     g.finalize();
     ThreadTeam team(4, false);
     ExecLog log(4);
-    auto st = eng->run(team, g, [&](int id, int) { log.mark(id); });
+    auto st = run_engine(name, team, g, [&](int id, int) { log.mark(id); });
     EXPECT_EQ(log.counter.load(), 4) << name;
     EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals, 4u) << name;
     check_topological(g, log);
@@ -986,8 +831,6 @@ TEST(EngineRegistry, EveryEngineRunsDiamondInDependencyOrder) {
 // within the look-ahead window are promoted (counted in EngineStats) and
 // generic/off-panel tasks are not.
 TEST(PriorityLookahead, PromotesPanelColumnTasks) {
-  auto eng = sched::make_engine("priority-lookahead");
-  ASSERT_NE(eng, nullptr);
   TaskGraph g;
   const int nsteps = 6;
   // Per step: one panel task (P at (k,k)) followed by three trailing
@@ -1025,7 +868,8 @@ TEST(PriorityLookahead, PromotesPanelColumnTasks) {
   sched::RunHooks hooks;
   hooks.lookahead_depth = 2;
   ExecLog log(g.num_tasks());
-  auto st = eng->run(team, g, [&](int id, int) { log.mark(id); }, hooks);
+  auto st = run_engine("priority-lookahead", team, g,
+                       [&](int id, int) { log.mark(id); }, hooks);
   EXPECT_EQ(log.counter.load(), g.num_tasks());
   check_topological(g, log);
   // Every panel task sits inside the window when it becomes ready (the
@@ -1037,12 +881,11 @@ TEST(PriorityLookahead, PromotesPanelColumnTasks) {
 }
 
 TEST(PriorityLookahead, GenericTasksNeverPromote) {
-  auto eng = sched::make_engine("priority-lookahead");
-  ASSERT_NE(eng, nullptr);
   ThreadTeam team(4, false);
   TaskGraph g = random_dag(400, 0.01, 11, 4);  // step = -1 everywhere
   ExecLog log(g.num_tasks());
-  auto st = eng->run(team, g, [&](int id, int) { log.mark(id); });
+  auto st = run_engine("priority-lookahead", team, g,
+                       [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.counter.load(), g.num_tasks());
   EXPECT_EQ(st.promotions, 0u);
   check_topological(g, log);
@@ -1084,10 +927,7 @@ TEST(SessionFused, AppendedGraphRunsInDependencyOrder) {
 // account for every task, completion callbacks fire exactly once, and the
 // whole fusion is one session run.
 TEST(SessionFused, EveryEngineRunsAllJobsExactlyOnce) {
-  // The explicit builtin list, not engine_names(): earlier registry tests
-  // register probe engines whose factories must not be re-invoked
-  // outside their own test.
-  for (const std::string name : kBuiltinEngines) {
+  for (const std::string& name : sched::engine_names()) {
     SCOPED_TRACE(name);
     const int p = 4;
     sched::Session session(sched::SessionOptions{p, false});

@@ -1,6 +1,5 @@
 // topology_test.cpp — the sysfs topology probe against synthetic
-// fixtures, distance classes, pin order, the numa-hierarchical engine's
-// stats contract, and ownership-ordered first-touch packing.
+// fixtures, pin order, and the owner-ordered parallel pack.
 //
 // The probe is exercised through fabricated sysfs trees written under
 // the test's working directory (single-socket SMT, dual-socket, and a
@@ -9,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -20,17 +19,14 @@
 
 #include "src/core/calu.h"
 #include "src/layout/packed.h"
-#include "src/sched/dag.h"
-#include "src/sched/engine.h"
-#include "src/sched/engine_registry.h"
 #include "src/sched/thread_team.h"
 #include "src/sched/topology.h"
+#include "tests/test_util.h"
 
 namespace calu {
 namespace {
 
 namespace fs = std::filesystem;
-using sched::StealClass;
 using sched::ThreadTeam;
 using sched::Topology;
 
@@ -104,6 +100,18 @@ SysfsFixture make_two_socket_fixture() {
   return fx;
 }
 
+/// The parsed hierarchy, one (cpu, package, core, l2, l3) row per
+/// cpu_at(i).
+using Row = std::array<int, 5>;
+std::vector<Row> hierarchy(const Topology& topo) {
+  std::vector<Row> rows;
+  for (int i = 0; i < topo.num_cpus(); ++i) {
+    const sched::CpuInfo& c = topo.cpu_at(i);
+    rows.push_back({c.cpu, c.package, c.core, c.l2, c.l3});
+  }
+  return rows;
+}
+
 // ------------------------------------------------------ parsing ---
 
 TEST(Topology, ParsesCpuListRanges) {
@@ -123,11 +131,13 @@ TEST(Topology, ProbesSingleSocketSmtFixture) {
   EXPECT_EQ(topo.cores(), 2);
   EXPECT_EQ(topo.l3_groups(), 1);
   EXPECT_EQ(topo.smt_ways(), 2);
-  EXPECT_EQ(topo.classify(0, 2), StealClass::kSmtSibling);
-  EXPECT_EQ(topo.classify(1, 3), StealClass::kSmtSibling);
-  // Different cores with private L2s meet at the socket's L3.
-  EXPECT_EQ(topo.classify(0, 1), StealClass::kSharedL3);
-  EXPECT_EQ(topo.classify(0, 99), StealClass::kUnknown);
+  // Siblings (0, 2) and (1, 3) share a core and its L2; the two cores
+  // meet at the socket's L3.
+  EXPECT_EQ(hierarchy(topo), (std::vector<Row>{{0, 0, 0, 0, 0},
+                                               {1, 0, 1, 1, 0},
+                                               {2, 0, 0, 0, 0},
+                                               {3, 0, 1, 1, 0}}));
+  EXPECT_EQ(topo.cpu_at(2).smt_rank, 1);
   // Cores first, SMT siblings after every core has one thread.
   EXPECT_EQ(topo.pin_order(), (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(topo.summary(), "1pkg/1l3/2core/2smt");
@@ -141,10 +151,12 @@ TEST(Topology, ProbesTwoSocketFixture) {
   EXPECT_EQ(topo.cores(), 8);
   EXPECT_EQ(topo.l3_groups(), 2);
   EXPECT_EQ(topo.smt_ways(), 1);
-  EXPECT_EQ(topo.classify(0, 1), StealClass::kSharedL3);
-  EXPECT_EQ(topo.classify(0, 4), StealClass::kCrossPackage);
-  EXPECT_EQ(topo.classify(4, 7), StealClass::kSharedL3);
+  // One core and L2 per cpu; one L3 per socket.
+  const std::vector<Row> rows = hierarchy(topo);
+  ASSERT_EQ(rows.size(), 8u);
+  for (int c = 0; c < 8; ++c) EXPECT_EQ(rows[c], (Row{c, c / 4, c, c, c / 4}));
   EXPECT_EQ(topo.pin_order(), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(topo.summary(), "2pkg/2l3/8core/1smt");
 }
 
 TEST(Topology, CpusetRestrictionDropsMaskedCpus) {
@@ -153,72 +165,32 @@ TEST(Topology, CpusetRestrictionDropsMaskedCpus) {
   SysfsFixture fx = make_two_socket_fixture();
   const Topology topo = Topology::probe(fx.root(), {1, 2, 5});
   EXPECT_EQ(topo.num_cpus(), 3);
-  EXPECT_EQ(topo.index_of(0), -1);
   EXPECT_EQ(topo.packages(), 2);
-  EXPECT_EQ(topo.classify(1, 2), StealClass::kSharedL3);
-  EXPECT_EQ(topo.classify(1, 5), StealClass::kCrossPackage);
+  // Cpus 1 and 2 share socket 0's L3; cpu 5 is on socket 1.
+  EXPECT_EQ(hierarchy(topo), (std::vector<Row>{{1, 0, 0, 0, 0},
+                                               {2, 0, 1, 1, 0},
+                                               {5, 1, 2, 2, 1}}));
   EXPECT_EQ(topo.pin_order(), (std::vector<int>{1, 2, 5}));
+  EXPECT_EQ(topo.summary(), "2pkg/2l3/3core/1smt");
 }
 
 TEST(Topology, MissingTreeDegradesToFlatSharedL3) {
   const Topology topo = Topology::probe("topo_fixture/nonexistent", {0, 1});
   EXPECT_EQ(topo.num_cpus(), 2);
   EXPECT_EQ(topo.packages(), 1);
-  EXPECT_EQ(topo.classify(0, 1), StealClass::kSharedL3);
-}
-
-TEST(Topology, SyntheticHierarchyClassifies) {
-  // 2 packages x 2 L3 groups x 2 cores x 2-way SMT = 16 cpus.
-  const Topology topo = Topology::synthetic(2, 2, 2, 2);
-  EXPECT_EQ(topo.num_cpus(), 16);
-  EXPECT_EQ(topo.packages(), 2);
-  EXPECT_EQ(topo.l3_groups(), 4);
-  EXPECT_EQ(topo.cores(), 8);
-  EXPECT_EQ(topo.smt_ways(), 2);
-  EXPECT_EQ(topo.classify(0, 1), StealClass::kSmtSibling);
-  EXPECT_EQ(topo.classify(0, 2), StealClass::kSharedL3);   // same L3 group
-  EXPECT_EQ(topo.classify(0, 4), StealClass::kSamePackage);  // other L3
-  EXPECT_EQ(topo.classify(0, 8), StealClass::kCrossPackage);
-  // Physical cores first: second SMT thread of core 0 (cpu 1) appears
-  // after one thread of every core.
-  const std::vector<int> order = topo.pin_order();
-  EXPECT_EQ(order.size(), 16u);
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[8], 1);  // SMT rank 1 starts after all 8 cores
-}
-
-TEST(Topology, StealCostOrdersClassesAndAcceptsMeasurement) {
-  Topology topo = Topology::synthetic(2, 1, 2, 1);
-  // Unmeasured: rank-order fallback estimates must be monotone.
-  EXPECT_LT(topo.steal_cost(StealClass::kSmtSibling),
-            topo.steal_cost(StealClass::kSharedL3));
-  EXPECT_LT(topo.steal_cost(StealClass::kSharedL3),
-            topo.steal_cost(StealClass::kCrossPackage));
-  // Injected table (a machine whose measurements disagree with sysfs):
-  // steal_cost must follow the measurement.
-  const double ns[sched::kStealClassCount] = {30, 45, 90, 400, 150, -1};
-  topo.set_class_latencies(ns);
-  EXPECT_GT(topo.steal_cost(StealClass::kSamePackage),
-            topo.steal_cost(StealClass::kCrossPackage));
-  EXPECT_EQ(topo.class_latency_ns(StealClass::kSmtSibling), 30.0);
-  // Class 'unk' stays on the estimate when unmeasured.
-  EXPECT_GT(topo.steal_cost(StealClass::kUnknown), 0.0);
-}
-
-TEST(Topology, MeasuresPingPongLatency) {
-  // The cpus of this synthetic pair may not exist on the host — pinning
-  // then fails and the sample runs unpinned, but it must still produce a
-  // positive latency (the mctop-style probe degrades, never breaks).
-  Topology topo = Topology::synthetic(1, 1, 2, 1);
-  topo.measure_class_latencies(/*iters=*/50);
-  EXPECT_GT(topo.class_latency_ns(StealClass::kSharedL3), 0.0);
+  // Every cpu its own core, all sharing one L3.
+  EXPECT_EQ(hierarchy(topo),
+            (std::vector<Row>{{0, 0, 0, 0, 0}, {1, 0, 1, 1, 0}}));
+  EXPECT_EQ(topo.pin_order(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(topo.summary(), "1pkg/1l3/2core/1smt");
 }
 
 TEST(Topology, SystemTopologyCoversAffinity) {
   const Topology& topo = sched::system_topology();
   const std::vector<int> allowed = sched::affinity_cpus();
-  EXPECT_EQ(topo.num_cpus(), static_cast<int>(allowed.size()));
-  for (int cpu : allowed) EXPECT_GE(topo.index_of(cpu), 0);
+  std::vector<int> cpus;
+  for (const Row& row : hierarchy(topo)) cpus.push_back(row[0]);
+  EXPECT_EQ(cpus, allowed);
   EXPECT_GE(topo.packages(), 1);
 }
 
@@ -245,89 +217,6 @@ TEST(ThreadTeamPinning, UnpinnedTeamReportsNoPins) {
   EXPECT_EQ(team.pinned_count(), 0);
   EXPECT_EQ(team.pinned_cpu(0), -1);
   EXPECT_EQ(team.pinned_cpu(1), -1);
-}
-
-// ------------------------------------------- numa-hierarchical ---
-
-sched::TaskGraph fork_join_graph(int width) {
-  sched::TaskGraph g;
-  const int root = g.add_task(sched::Task{});
-  const int sink = g.add_task(sched::Task{});
-  for (int i = 0; i < width; ++i) {
-    sched::Task t;
-    t.owner = i;  // owner hints the Chase-Lev policy must ignore
-    const int id = g.add_task(t);
-    g.add_edge(root, id);
-    g.add_edge(id, sink);
-  }
-  g.finalize();
-  return g;
-}
-
-TEST(NumaEngine, RegisteredAsBuiltIn) {
-  EXPECT_TRUE(sched::engine_registered("numa-hierarchical"));
-  auto engine = sched::make_engine("numa-hierarchical");
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->name(), "numa-hierarchical");
-  const std::vector<std::string> names = sched::engine_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "numa-hierarchical"),
-            names.end());
-}
-
-TEST(NumaEngine, AccountsEveryTaskAndClassifiesSteals) {
-  const sched::TaskGraph g = fork_join_graph(64);
-  ThreadTeam team(4, /*pin=*/true);
-  auto engine = sched::make_engine("numa-hierarchical");
-  std::vector<std::atomic<int>> ran(g.num_tasks());
-  const sched::EngineStats st = engine->run(
-      team, g, [&](int id, int) { ran[id].fetch_add(1); }, {});
-  for (int i = 0; i < g.num_tasks(); ++i) EXPECT_EQ(ran[i].load(), 1);
-  // The work-stealing stats contract: every task is a local pop or a
-  // steal, and every steal lands in exactly one distance class.
-  EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals,
-            static_cast<std::uint64_t>(g.num_tasks()));
-  std::uint64_t classified = 0;
-  for (std::uint64_t n : st.steals_by_class) classified += n;
-  EXPECT_EQ(classified, st.steals);
-  EXPECT_GE(st.steal_attempts, st.steals);
-  EXPECT_EQ(st.promotions, 0u);
-  EXPECT_EQ(st.pinned_threads, team.pinned_count());
-}
-
-TEST(NumaEngine, RunsRepeatedlyWithoutLeakingState) {
-  const sched::TaskGraph g = fork_join_graph(32);
-  ThreadTeam team(4, /*pin=*/false);  // unpinned: kUnknown victim path
-  auto engine = sched::make_engine("numa-hierarchical");
-  for (int rep = 0; rep < 20; ++rep) {
-    std::atomic<int> count{0};
-    const sched::EngineStats st =
-        engine->run(team, g, [&](int, int) { count.fetch_add(1); }, {});
-    EXPECT_EQ(count.load(), g.num_tasks());
-    EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals,
-              static_cast<std::uint64_t>(g.num_tasks()));
-  }
-}
-
-TEST(NumaEngine, StampsStealDistanceOnTrace) {
-  const sched::TaskGraph g = fork_join_graph(64);
-  ThreadTeam team(4, /*pin=*/false);
-  auto engine = sched::make_engine("numa-hierarchical");
-  trace::Recorder rec;
-  rec.start(team.size());
-  sched::RunHooks hooks;
-  hooks.recorder = &rec;
-  const sched::EngineStats st =
-      engine->run(team, g, [&](int, int) {}, hooks);
-  rec.stop();
-  std::uint64_t traced_steals = 0;
-  for (int t = 0; t < rec.threads(); ++t)
-    for (const trace::Event& e : rec.thread_events(t))
-      if (e.steal_class >= 0) {
-        ++traced_steals;
-        EXPECT_TRUE(e.dynamic);
-        EXPECT_LT(e.steal_class, trace::kStealClassCount);
-      }
-  EXPECT_EQ(traced_steals, st.steals);
 }
 
 // --------------------------------------------- first-touch pack ---
@@ -366,8 +255,7 @@ TEST(FirstTouchPack, OwnerRunnerVisitsEachOwnerOnItsThread) {
 TEST(FirstTouchPack, PlacedPackIsBitIdenticalToSerial) {
   layout::Matrix a = layout::Matrix::random(61, 47, 7);  // partial edges
   ThreadTeam team(3, /*pin=*/false);
-  core::Options opt;  // first_touch defaults on
-  const layout::OwnerRunner place = core::owner_runner_from(opt, team);
+  const layout::OwnerRunner place = core::owner_runner_from({}, team);
   ASSERT_TRUE(static_cast<bool>(place));
   const layout::Grid grid{2, 2};
   for (const layout::Layout layout :
@@ -384,27 +272,24 @@ TEST(FirstTouchPack, PlacedPackIsBitIdenticalToSerial) {
   }
 }
 
-TEST(FirstTouchPack, RunnerDisabledForSingleThreadOrOptOut) {
+TEST(FirstTouchPack, RunnerDisabledForSingleThread) {
   ThreadTeam team1(1, false);
-  core::Options opt;
-  EXPECT_FALSE(static_cast<bool>(core::owner_runner_from(opt, team1)));
+  EXPECT_FALSE(static_cast<bool>(core::owner_runner_from({}, team1)));
   ThreadTeam team4(4, false);
-  opt.first_touch = false;
-  EXPECT_FALSE(static_cast<bool>(core::owner_runner_from(opt, team4)));
-  opt.first_touch = true;
-  EXPECT_TRUE(static_cast<bool>(core::owner_runner_from(opt, team4)));
+  EXPECT_TRUE(static_cast<bool>(core::owner_runner_from({}, team4)));
 }
 
 TEST(FirstTouchPack, FactorizationMatchesSerialPack) {
-  // End to end: getrf through a session (first-touch pack) must produce
-  // bit-identical factors to a pre-packed serial matrix.
-  layout::Matrix a = layout::Matrix::random(64, 64, 11);
+  // End to end: getrf through a session (owner-ordered parallel pack)
+  // must produce bit-identical factors to a pre-packed serial matrix.
+  // 4x4 tiles on a 2x2 grid: a tiled shape, so the owner runner packs it.
+  layout::Matrix a = layout::Matrix::random(288, 288, 11);
   core::Options opt;
-  opt.b = 16;
+  opt.b = 72;
   opt.threads = 4;
   opt.pr = opt.pc = 2;
   opt.pin_threads = false;
-  opt.engine = "numa-hierarchical";
+  opt.engine = "work-stealing";
 
   layout::Matrix a_serial = a;
   layout::PackedMatrix p =
@@ -414,6 +299,8 @@ TEST(FirstTouchPack, FactorizationMatchesSerialPack) {
   p.unpack(a_serial);
 
   core::Factorization f = core::getrf(a, opt);
+  test::expect_tiled(ref.stats);
+  test::expect_tiled(f.stats);
   ASSERT_EQ(ref.ipiv, f.ipiv);
   for (int j = 0; j < a.cols(); ++j)
     for (int i = 0; i < a.rows(); ++i) EXPECT_EQ(a(i, j), a_serial(i, j));

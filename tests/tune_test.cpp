@@ -119,13 +119,11 @@ TEST(TuneSeeding, EngineGridFollowsThreadsAndTopology) {
   // p = 1: every engine degenerates to the same serial schedule.
   EXPECT_EQ(engines(make_key(512, 1)),
             (std::vector<std::string>{"hybrid"}));
-  // Flat machine: no cache distances for numa-hierarchical to exploit.
+  // p > 1: the same two candidates whatever the machine shape.
   EXPECT_EQ(engines(make_key(512, 4, "testk", "1pkg/1l3/4core/1smt")),
             (std::vector<std::string>{"hybrid", "priority-lookahead"}));
-  // Two L3 groups: the distance-aware engine joins the grid.
   EXPECT_EQ(engines(make_key(512, 4, "testk", "1pkg/2l3/8core/1smt")),
-            (std::vector<std::string>{"hybrid", "numa-hierarchical",
-                                      "priority-lookahead"}));
+            (std::vector<std::string>{"hybrid", "priority-lookahead"}));
   // Lookahead depth is only a free knob for priority-lookahead.
   for (const Decision& d : tune::seed_candidates(make_key(), sp)) {
     if (d.engine == "priority-lookahead")
@@ -261,8 +259,7 @@ TEST(TuneOptions, AutoResolvesThroughGlobalTuner) {
   EXPECT_GE(b, 8);
   EXPECT_LE(b, 256);
   const std::string engine = o.resolved_engine();
-  EXPECT_TRUE(engine == "hybrid" || engine == "priority-lookahead" ||
-              engine == "numa-hierarchical")
+  EXPECT_TRUE(engine == "hybrid" || engine == "priority-lookahead")
       << engine;
   const int look = o.resolved_lookahead();
   EXPECT_TRUE(look == 2 || look == 4) << look;
