@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -309,15 +310,20 @@ int run_json(const char* path) {
     }
     std::fprintf(f, "},\n");
     // Panel factorization: the blocked getf2 at tile and TSLU-leaf
-    // shapes, and the recursive GEPP operator on a tall panel.
+    // shapes, and the recursive GEPP operator on whole small jobs (64^2
+    // to 256^2), the b = 96 tournament merge (192 x 96) and a tall panel.
     std::fprintf(f, "     \"panel_gflops\": {");
     const std::pair<const char*, std::pair<int, int>> panels[] = {
         {"getf2_128x128", {128, 128}},
         {"getf2_512x128", {512, 128}},
         {"getf2_2048x128", {2048, 128}},
         {"getrf_rec_2048x128", {-2048, 128}},
+        {"getrf_rec_64x64", {-64, 64}},
+        {"getrf_rec_128x128", {-128, 128}},
+        {"getrf_rec_256x256", {-256, 256}},
+        {"getrf_rec_192x96", {-192, 96}},
     };
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < std::size(panels); ++i) {
       const bool recursive = panels[i].second.first < 0;
       const int m = std::abs(panels[i].second.first);
       const int n = panels[i].second.second;
@@ -403,19 +409,31 @@ int run_json(const char* path) {
       std::fprintf(f, "%s\"%d\": %.2f", i ? ", " : "", n, g);
     }
     std::fprintf(f, "},\n       \"panel_gflops\": {");
-    {
-      const int m = 512, n = 128;
+    // getf2 on a TSLU-leaf panel; getrf_recursive on a whole small job and
+    // on gesv_mixed's b = 64 tournament merge (128 x 64).
+    const std::pair<const char*, std::pair<int, int>> fpanels[] = {
+        {"getf2_512x128", {512, 128}},
+        {"getrf_rec_64x64", {-64, 64}},
+        {"getrf_rec_128x64", {-128, 64}},
+    };
+    for (std::size_t i = 0; i < std::size(fpanels); ++i) {
+      const bool recursive = fpanels[i].second.first < 0;
+      const int m = std::abs(fpanels[i].second.first);
+      const int n = fpanels[i].second.second;
       const auto a0 = frandom(m, n, 1);
       auto a = a0;
       std::vector<int> ipiv(n);
       const double s_fact = seconds_of([&] {
         a = a0;
-        blas::getf2(m, n, a.data(), m, ipiv.data());
+        if (recursive)
+          blas::getrf_recursive(m, n, a.data(), m, ipiv.data());
+        else
+          blas::getf2(m, n, a.data(), m, ipiv.data());
       });
       const double s_copy = seconds_of([&] { a = a0; });
       const double g =
           lu_flops(m, n) / std::max(s_fact - s_copy, 1e-9) * 1e-9;
-      std::fprintf(f, "\"getf2_512x128\": %.2f", g);
+      std::fprintf(f, "%s\"%s\": %.2f", i ? ", " : "", fpanels[i].first, g);
     }
     std::fprintf(f, "}}}%s\n", ki + 1 < names.size() ? "," : "");
   }

@@ -126,15 +126,13 @@ int getf2(int m, int n, float* a, int lda, int* ipiv);
 
 /// Toledo's recursive LU with partial pivoting — the sequential GEPP
 /// operator the paper uses inside TSLU reductions (reference [23]).
-/// Same contract as getf2; `threshold` is the column count below which
-/// the recursion bottoms out into getf2.  The default matches the
-/// blocked panel kernel's sweet spot: getf2's delayed rank-ib updates
-/// carry narrow panels efficiently, so recursing below 32 columns only
-/// adds trsm/gemm calls too small to pay for themselves.
-int getrf_recursive(int m, int n, double* a, int lda, int* ipiv,
-                    int threshold = 32);
-int getrf_recursive(int m, int n, float* a, int lda, int* ipiv,
-                    int threshold = 32);
+/// Same info contract as getf2, but factors agree with unblocked
+/// elimination only to rounding: the halves meet in trsm and gemm, and
+/// small shapes (at most 96 rows or columns and 96 x 768 elements, or at
+/// most 32 rows or columns) run an unpacked blocked leaf whose updates
+/// are fused multiply-adds.
+int getrf_recursive(int m, int n, double* a, int lda, int* ipiv);
+int getrf_recursive(int m, int n, float* a, int lda, int* ipiv);
 
 /// LU factorization *without* pivoting (recursive, gemm-rich) — the second
 /// step of TSLU: the tournament already permuted good pivots into place.

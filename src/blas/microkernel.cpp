@@ -100,7 +100,220 @@ void trsm_leaf_right_c(int m, int kb, const T* inv, T* b, int ldb) {
   }
 }
 
+// ----------------------------------------------- generic fma update ---
+// panel_update's (j, p, i) loop nest without the zero skip; contracted
+// into FMAs wherever the baseline ISA has them.
+
+template <class T>
+void panel_fma_c(int m, int n, int kb, const T* l, int ldl, const T* u,
+                 int ldu, T* c, int ldc) {
+  for (int j = 0; j < n; ++j) {
+    T* cj = c + static_cast<std::size_t>(j) * ldc;
+    for (int p = 0; p < kb; ++p) {
+      const T up = u[p + static_cast<std::size_t>(j) * ldu];
+      const T* lp = l + static_cast<std::size_t>(p) * ldl;
+      for (int i = 0; i < m; ++i) cj[i] -= lp[i] * up;
+    }
+  }
+}
+
 #if CALU_X86
+
+// ------------------------------------------------- fma update kernels ---
+// C -= L U, one fused multiply-add per term, straight into C: NC columns
+// of C stay in accumulators while the p loop streams two vectors of L,
+// then the last rows (masked on avx512, scalar on avx2).  One body per
+// ISA serves both precisions through the overloads below (lanes =
+// vector bytes / sizeof(T)); the column loop takes as many columns at a
+// time as the register file holds.
+
+__attribute__((target("avx512f"))) inline __m512d ld512(const double* p) {
+  return _mm512_loadu_pd(p);
+}
+__attribute__((target("avx512f"))) inline __m512 ld512(const float* p) {
+  return _mm512_loadu_ps(p);
+}
+__attribute__((target("avx512f"))) inline __m512d ld512(const double* p,
+                                                        int n) {
+  return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1u), p);
+}
+__attribute__((target("avx512f"))) inline __m512 ld512(const float* p,
+                                                       int n) {
+  return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p);
+}
+__attribute__((target("avx512f"))) inline void st512(double* p, __m512d v) {
+  _mm512_storeu_pd(p, v);
+}
+__attribute__((target("avx512f"))) inline void st512(float* p, __m512 v) {
+  _mm512_storeu_ps(p, v);
+}
+__attribute__((target("avx512f"))) inline void st512(double* p, __m512d v,
+                                                     int n) {
+  _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1u), v);
+}
+__attribute__((target("avx512f"))) inline void st512(float* p, __m512 v,
+                                                     int n) {
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1u), v);
+}
+__attribute__((target("avx512f"))) inline __m512d fnm512(__m512d l, double u,
+                                                         __m512d c) {
+  return _mm512_fnmadd_pd(l, _mm512_set1_pd(u), c);
+}
+__attribute__((target("avx512f"))) inline __m512 fnm512(__m512 l, float u,
+                                                        __m512 c) {
+  return _mm512_fnmadd_ps(l, _mm512_set1_ps(u), c);
+}
+
+template <class T, int NC>
+__attribute__((target("avx512f"))) void fma_cols_avx512(int m, int kb,
+                                                        const T* l, int ldl,
+                                                        const T* u, int ldu,
+                                                        T* c, int ldc) {
+  using V = decltype(ld512(l));
+  constexpr int W = 64 / sizeof(T);
+  int i = 0;
+  for (; i + 2 * W <= m; i += 2 * W) {
+    V acc[NC][2];
+    for (int q = 0; q < NC; ++q) {
+      const T* cq = c + static_cast<std::size_t>(q) * ldc + i;
+      acc[q][0] = ld512(cq);
+      acc[q][1] = ld512(cq + W);
+    }
+    for (int p = 0; p < kb; ++p) {
+      const T* lp = l + static_cast<std::size_t>(p) * ldl + i;
+      const V l0 = ld512(lp), l1 = ld512(lp + W);
+      for (int q = 0; q < NC; ++q) {
+        const T uq = u[p + static_cast<std::size_t>(q) * ldu];
+        acc[q][0] = fnm512(l0, uq, acc[q][0]);
+        acc[q][1] = fnm512(l1, uq, acc[q][1]);
+      }
+    }
+    for (int q = 0; q < NC; ++q) {
+      T* cq = c + static_cast<std::size_t>(q) * ldc + i;
+      st512(cq, acc[q][0]);
+      st512(cq + W, acc[q][1]);
+    }
+  }
+  for (; i < m; i += W) {
+    const int rows = std::min(W, m - i);
+    V acc[NC];
+    for (int q = 0; q < NC; ++q)
+      acc[q] = ld512(c + static_cast<std::size_t>(q) * ldc + i, rows);
+    for (int p = 0; p < kb; ++p) {
+      const V lp = ld512(l + static_cast<std::size_t>(p) * ldl + i, rows);
+      for (int q = 0; q < NC; ++q)
+        acc[q] = fnm512(lp, u[p + static_cast<std::size_t>(q) * ldu], acc[q]);
+    }
+    for (int q = 0; q < NC; ++q)
+      st512(c + static_cast<std::size_t>(q) * ldc + i, acc[q], rows);
+  }
+}
+
+template <class T>
+__attribute__((target("avx512f"))) void panel_fma_avx512(int m, int n, int kb,
+                                                         const T* l, int ldl,
+                                                         const T* u, int ldu,
+                                                         T* c, int ldc) {
+  int j = 0;
+  for (; j + 8 <= n; j += 8)
+    fma_cols_avx512<T, 8>(m, kb, l, ldl, u + static_cast<std::size_t>(j) * ldu,
+                          ldu, c + static_cast<std::size_t>(j) * ldc, ldc);
+  // The last 1-7 columns in one pass: the in-block updates of the
+  // getrf_recursive leaf are all this narrow.
+  const T* uj = u + static_cast<std::size_t>(j) * ldu;
+  T* cj = c + static_cast<std::size_t>(j) * ldc;
+  switch (n - j) {
+    case 7: return fma_cols_avx512<T, 7>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 6: return fma_cols_avx512<T, 6>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 5: return fma_cols_avx512<T, 5>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 4: return fma_cols_avx512<T, 4>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 3: return fma_cols_avx512<T, 3>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 2: return fma_cols_avx512<T, 2>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 1: return fma_cols_avx512<T, 1>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    default: return;
+  }
+}
+
+__attribute__((target("avx2,fma"))) inline __m256d ld256(const double* p) {
+  return _mm256_loadu_pd(p);
+}
+__attribute__((target("avx2,fma"))) inline __m256 ld256(const float* p) {
+  return _mm256_loadu_ps(p);
+}
+__attribute__((target("avx2,fma"))) inline void st256(double* p, __m256d v) {
+  _mm256_storeu_pd(p, v);
+}
+__attribute__((target("avx2,fma"))) inline void st256(float* p, __m256 v) {
+  _mm256_storeu_ps(p, v);
+}
+__attribute__((target("avx2,fma"))) inline __m256d fnm256(__m256d l, double u,
+                                                          __m256d c) {
+  return _mm256_fnmadd_pd(l, _mm256_set1_pd(u), c);
+}
+__attribute__((target("avx2,fma"))) inline __m256 fnm256(__m256 l, float u,
+                                                         __m256 c) {
+  return _mm256_fnmadd_ps(l, _mm256_set1_ps(u), c);
+}
+
+template <class T, int NC>
+__attribute__((target("avx2,fma"))) void fma_cols_avx2(int m, int kb,
+                                                       const T* l, int ldl,
+                                                       const T* u, int ldu,
+                                                       T* c, int ldc) {
+  using V = decltype(ld256(l));
+  constexpr int W = 32 / sizeof(T);
+  int i = 0;
+  for (; i + 2 * W <= m; i += 2 * W) {
+    V acc[NC][2];
+    for (int q = 0; q < NC; ++q) {
+      const T* cq = c + static_cast<std::size_t>(q) * ldc + i;
+      acc[q][0] = ld256(cq);
+      acc[q][1] = ld256(cq + W);
+    }
+    for (int p = 0; p < kb; ++p) {
+      const T* lp = l + static_cast<std::size_t>(p) * ldl + i;
+      const V l0 = ld256(lp), l1 = ld256(lp + W);
+      for (int q = 0; q < NC; ++q) {
+        const T uq = u[p + static_cast<std::size_t>(q) * ldu];
+        acc[q][0] = fnm256(l0, uq, acc[q][0]);
+        acc[q][1] = fnm256(l1, uq, acc[q][1]);
+      }
+    }
+    for (int q = 0; q < NC; ++q) {
+      T* cq = c + static_cast<std::size_t>(q) * ldc + i;
+      st256(cq, acc[q][0]);
+      st256(cq + W, acc[q][1]);
+    }
+  }
+  // Scalar row tail; std::fma compiles to the FMA instruction here.
+  for (; i < m; ++i)
+    for (int q = 0; q < NC; ++q) {
+      T v = c[i + static_cast<std::size_t>(q) * ldc];
+      for (int p = 0; p < kb; ++p)
+        v = std::fma(-l[i + static_cast<std::size_t>(p) * ldl],
+                     u[p + static_cast<std::size_t>(q) * ldu], v);
+      c[i + static_cast<std::size_t>(q) * ldc] = v;
+    }
+}
+
+template <class T>
+__attribute__((target("avx2,fma"))) void panel_fma_avx2(int m, int n, int kb,
+                                                        const T* l, int ldl,
+                                                        const T* u, int ldu,
+                                                        T* c, int ldc) {
+  int j = 0;
+  for (; j + 4 <= n; j += 4)
+    fma_cols_avx2<T, 4>(m, kb, l, ldl, u + static_cast<std::size_t>(j) * ldu,
+                        ldu, c + static_cast<std::size_t>(j) * ldc, ldc);
+  const T* uj = u + static_cast<std::size_t>(j) * ldu;
+  T* cj = c + static_cast<std::size_t>(j) * ldc;
+  switch (n - j) {
+    case 3: return fma_cols_avx2<T, 3>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 2: return fma_cols_avx2<T, 2>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    case 1: return fma_cols_avx2<T, 1>(m, kb, l, ldl, uj, ldu, cj, ldc);
+    default: return;
+  }
+}
 
 // ------------------------------------------------- avx2 trsm leaves ---
 // kb == kTrsmLeafNB (8) specialization; anything else (the one ragged
@@ -530,6 +743,7 @@ std::vector<MicroKernel> build_table() {
     k.nr = 8;
     k.fn = kernel_avx512;
     k.panel_update = panelk::panel_update_avx512;
+    k.panel_fma = panel_fma_avx512<double>;
     k.rank1_iamax = panelk::rank1_iamax_avx512;
     k.iamax = panelk::iamax_avx512;
     k.trsm_leaf_left = trsm_leaf_left_avx512;
@@ -544,6 +758,7 @@ std::vector<MicroKernel> build_table() {
     k.nr = 6;
     k.fn = kernel_avx2;
     k.panel_update = panelk::panel_update_avx2;
+    k.panel_fma = panel_fma_avx2<double>;
     k.rank1_iamax = panelk::rank1_iamax_avx2;
     k.iamax = panelk::iamax_avx2;
     k.trsm_leaf_left = trsm_leaf_left_avx2;
@@ -558,6 +773,7 @@ std::vector<MicroKernel> build_table() {
   k.nr = 4;
   k.fn = kernel_c<double, 8, 4>;
   k.panel_update = panelk::panel_update_c<double>;
+  k.panel_fma = panel_fma_c<double>;
   k.rank1_iamax = panelk::rank1_iamax_c<double>;
   k.iamax = panelk::iamax_c<double>;
   k.trsm_leaf_left = trsm_leaf_left_c<double>;
@@ -578,6 +794,7 @@ std::vector<MicroKernelT<float>> build_table_f() {
     k.nr = 8;
     k.fn = kernel_avx512_f;
     k.panel_update = panelk::panel_update_avx512;
+    k.panel_fma = panel_fma_avx512<float>;
     k.rank1_iamax = panelk::rank1_iamax_avx512;
     k.iamax = panelk::iamax_avx512;
     k.trsm_leaf_left = trsm_leaf_left_avx2;  // ymm-exact 8x8 float leaf
@@ -592,6 +809,7 @@ std::vector<MicroKernelT<float>> build_table_f() {
     k.nr = 6;
     k.fn = kernel_avx2_f;
     k.panel_update = panelk::panel_update_avx2;
+    k.panel_fma = panel_fma_avx2<float>;
     k.rank1_iamax = panelk::rank1_iamax_avx2;
     k.iamax = panelk::iamax_avx2;
     k.trsm_leaf_left = trsm_leaf_left_avx2;
@@ -609,6 +827,7 @@ std::vector<MicroKernelT<float>> build_table_f() {
   k.nr = 4;
   k.fn = kernel_c<float, 8, 4>;
   k.panel_update = panelk::panel_update_c<float>;
+  k.panel_fma = panel_fma_c<float>;
   k.rank1_iamax = panelk::rank1_iamax_c<float>;
   k.iamax = panelk::iamax_c<float>;
   k.trsm_leaf_left = trsm_leaf_left_c<float>;

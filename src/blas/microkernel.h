@@ -49,10 +49,10 @@ using MicroKernelFn = MicroKernelFnT<double>;
 
 // --- panel-factorization kernels ---------------------------------------
 //
-// The LU panel (getf2 and the TSLU reduction operator) has a stricter
-// numerical contract than gemm: the tournament pivoting tree replays
-// pivot DECISIONS, so the blocked panel kernel must be bit-identical to
-// the classic column-at-a-time elimination it replaces — the value of
+// The blocked LU panel (getf2) has a stricter numerical contract than
+// gemm: a tournament replays pivot DECISIONS, so the blocked panel
+// kernel must be bit-identical to the classic column-at-a-time
+// elimination it replaces on every dispatch variant — the value of
 // every element must go through the same chain of roundings.  Unblocked
 // elimination applies rank-1 updates one at a time, i.e. per element
 //     c = ((c - l0*u0) - l1*u1) - ...        (multiply, then subtract,
@@ -114,6 +114,25 @@ using TrsmLeafRightFnT = void (*)(int m, int kb, const T* inv, T* b,
                                   int ldb);
 using TrsmLeafRightFn = TrsmLeafRightFnT<double>;
 
+/// inv := T^{-1} for the nb x nb lower triangle of `t` (unit diagonal
+/// when `unit`), in the form the leaf kernels take: column-major,
+/// contiguous (ld = nb), upper part zero.
+template <class T>
+void invert_lower(const T* t, int ldt, int nb, bool unit, T* inv) {
+  for (int j = 0; j < nb; ++j) {
+    T* x = inv + static_cast<std::size_t>(j) * nb;
+    for (int i = 0; i < j; ++i) x[i] = T(0);
+    x[j] = unit ? T(1) : T(1) / t[j + static_cast<std::size_t>(j) * ldt];
+    for (int i = j + 1; i < nb; ++i) {
+      const T* ti = t + i;
+      T s = T(0);
+      for (int p = j; p < i; ++p)
+        s += ti[static_cast<std::size_t>(p) * ldt] * x[p];
+      x[i] = unit ? -s : -s / ti[static_cast<std::size_t>(i) * ldt];
+    }
+  }
+}
+
 template <class T>
 struct MicroKernelT {
   const char* name = "generic";
@@ -121,6 +140,13 @@ struct MicroKernelT {
   int mc = 256, kc = 256, nc = 4096;  // cache blocking (derived at startup)
   MicroKernelFnT<T> fn = nullptr;
   PanelUpdateFnT<T> panel_update = nullptr;
+  /// panel_update's FMA twin: C -= L * U with one fused multiply-add per
+  /// term (one rounding instead of two), ascending p, directly into C,
+  /// and no skip of zero U entries.  Not bound by the panel contract: the
+  /// getrf_recursive leaf, trsm's narrow couplings, the LU solve and the
+  /// residual take it.  The generic entry leaves the rounding to the
+  /// compiler (contracted where the baseline ISA has FMA).
+  PanelUpdateFnT<T> panel_fma = nullptr;
   Rank1IamaxFnT<T> rank1_iamax = nullptr;
   IamaxFnT<T> iamax = nullptr;
   TrsmLeafLeftFnT<T> trsm_leaf_left = nullptr;

@@ -179,6 +179,33 @@ int find_first_absmax(int m, const T* x, T best) {
     if (std::fabs(x[i]) == best) return i;
   return 0;
 }
+
+// The iamax kernels search in one pass instead: lane q of the vector loop
+// keeps the first maximum among its elements and that element's index.
+// The overall first maximum is the smallest index among the lanes that
+// hold the largest value, then the scalar tail x[i..m) (all later
+// indices) can only replace it when strictly greater.  A NaN in the
+// tail sends the search to the scalar reference like one in the vectors.
+template <class T, class I>
+int first_absmax_tail(int m, const T* x, int i, const T* vals, const I* idx,
+                      int lanes) {
+  T best = vals[0];
+  int piv = static_cast<int>(idx[0]);
+  for (int q = 1; q < lanes; ++q)
+    if (vals[q] > best || (vals[q] == best && idx[q] < piv)) {
+      best = vals[q];
+      piv = static_cast<int>(idx[q]);
+    }
+  for (; i < m; ++i) {
+    const T v = std::fabs(x[i]);
+    if (std::isnan(v)) return iamax_c(m, x);
+    if (v > best) {
+      best = v;
+      piv = i;
+    }
+  }
+  return piv;
+}
 }  // namespace
 
 __attribute__((target("avx2"))) int rank1_iamax_avx2(int m, const double* l,
@@ -210,24 +237,26 @@ __attribute__((target("avx2"))) int rank1_iamax_avx2(int m, const double* l,
 }
 
 __attribute__((target("avx2"))) int iamax_avx2(int m, const double* x) {
-  __m256d vmax = _mm256_setzero_pd();
-  __m256d unord = _mm256_setzero_pd();
-  int i = 0;
+  if (m < 4) return iamax_c(m, x);
+  // Lane q keeps the first maximum of x[q], x[q+4], ... and its index
+  // (indices as doubles, exact below 2^53).
+  __m256d vmax = abs256(_mm256_loadu_pd(x));
+  __m256d unord = _mm256_cmp_pd(vmax, vmax, _CMP_UNORD_Q);
+  __m256d cur = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0), vidx = cur;
+  int i = 4;
   for (; i + 4 <= m; i += 4) {
-    const __m256d v = _mm256_loadu_pd(x + i);
+    const __m256d v = abs256(_mm256_loadu_pd(x + i));
+    cur = _mm256_add_pd(cur, _mm256_set1_pd(4.0));
     unord = _mm256_or_pd(unord, _mm256_cmp_pd(v, v, _CMP_UNORD_Q));
-    vmax = _mm256_max_pd(vmax, abs256(v));
+    const __m256d gt = _mm256_cmp_pd(v, vmax, _CMP_GT_OQ);
+    vmax = _mm256_blendv_pd(vmax, v, gt);
+    vidx = _mm256_blendv_pd(vidx, cur, gt);
   }
-  bool saw_nan = _mm256_movemask_pd(unord) != 0;
-  double tmp[4];
-  _mm256_storeu_pd(tmp, vmax);
-  double best = std::max(std::max(tmp[0], tmp[1]), std::max(tmp[2], tmp[3]));
-  for (; i < m; ++i) {
-    saw_nan = saw_nan || std::isnan(x[i]);
-    best = std::max(best, std::fabs(x[i]));
-  }
-  if (saw_nan) return iamax_c(m, x);
-  return find_first_absmax(m, x, best);
+  if (_mm256_movemask_pd(unord) != 0) return iamax_c(m, x);
+  double vals[4], idx[4];
+  _mm256_storeu_pd(vals, vmax);
+  _mm256_storeu_pd(idx, vidx);
+  return first_absmax_tail(m, x, i, vals, idx, 4);
 }
 
 // ------------------------------------------- avx2 float panel kernels ---
@@ -317,25 +346,25 @@ __attribute__((target("avx2"))) int rank1_iamax_avx2(int m, const float* l,
 }
 
 __attribute__((target("avx2"))) int iamax_avx2(int m, const float* x) {
-  __m256 vmax = _mm256_setzero_ps();
-  __m256 unord = _mm256_setzero_ps();
-  int i = 0;
+  if (m < 8) return iamax_c(m, x);
+  __m256 vmax = abs256f(_mm256_loadu_ps(x));
+  __m256 unord = _mm256_cmp_ps(vmax, vmax, _CMP_UNORD_Q);
+  __m256i cur = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), vidx = cur;
+  int i = 8;
   for (; i + 8 <= m; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 v = abs256f(_mm256_loadu_ps(x + i));
+    cur = _mm256_add_epi32(cur, _mm256_set1_epi32(8));
     unord = _mm256_or_ps(unord, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-    vmax = _mm256_max_ps(vmax, abs256f(v));
+    const __m256 gt = _mm256_cmp_ps(v, vmax, _CMP_GT_OQ);
+    vmax = _mm256_blendv_ps(vmax, v, gt);
+    vidx = _mm256_blendv_epi8(vidx, cur, _mm256_castps_si256(gt));
   }
-  bool saw_nan = _mm256_movemask_ps(unord) != 0;
-  float tmp[8];
-  _mm256_storeu_ps(tmp, vmax);
-  float best = tmp[0];
-  for (int q = 1; q < 8; ++q) best = std::max(best, tmp[q]);
-  for (; i < m; ++i) {
-    saw_nan = saw_nan || std::isnan(x[i]);
-    best = std::max(best, std::fabs(x[i]));
-  }
-  if (saw_nan) return iamax_c(m, x);
-  return find_first_absmax(m, x, best);
+  if (_mm256_movemask_ps(unord) != 0) return iamax_c(m, x);
+  float vals[8];
+  int idx[8];
+  _mm256_storeu_ps(vals, vmax);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(idx), vidx);
+  return first_absmax_tail(m, x, i, vals, idx, 8);
 }
 
 // ------------------------------------------------ avx512 panel kernels ---
@@ -441,27 +470,25 @@ __attribute__((target("avx512f"))) int rank1_iamax_avx512(int m,
 }
 
 __attribute__((target("avx512f"))) int iamax_avx512(int m, const double* x) {
-  __m512d vmax = _mm512_setzero_pd();
-  __mmask8 unord = 0;
-  int i = 0;
+  if (m < 8) return iamax_c(m, x);
+  __m512d vmax = _mm512_abs_pd(_mm512_loadu_pd(x));
+  __mmask8 unord = _mm512_cmp_pd_mask(vmax, vmax, _CMP_UNORD_Q);
+  __m512i cur = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), vidx = cur;
+  int i = 8;
   for (; i + 8 <= m; i += 8) {
-    const __m512d v = _mm512_loadu_pd(x + i);
+    const __m512d v = _mm512_abs_pd(_mm512_loadu_pd(x + i));
+    cur = _mm512_add_epi64(cur, _mm512_set1_epi64(8));
     unord |= _mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q);
-    // masked form with explicit src: GCC-12's unmasked wrapper warns on
-    // its internal undefined passthru
-    vmax = _mm512_mask_max_pd(vmax, 0xFF, vmax, _mm512_abs_pd(v));
+    const __mmask8 gt = _mm512_cmp_pd_mask(v, vmax, _CMP_GT_OQ);
+    vmax = _mm512_mask_mov_pd(vmax, gt, v);
+    vidx = _mm512_mask_mov_epi64(vidx, gt, cur);
   }
-  bool saw_nan = unord != 0;
-  double tmp[8];
-  _mm512_storeu_pd(tmp, vmax);
-  double best = tmp[0];
-  for (int q = 1; q < 8; ++q) best = std::max(best, tmp[q]);
-  for (; i < m; ++i) {
-    saw_nan = saw_nan || std::isnan(x[i]);
-    best = std::max(best, std::fabs(x[i]));
-  }
-  if (saw_nan) return iamax_c(m, x);
-  return find_first_absmax(m, x, best);
+  if (unord != 0) return iamax_c(m, x);
+  double vals[8];
+  long long idx[8];
+  _mm512_storeu_pd(vals, vmax);
+  _mm512_storeu_si512(idx, vidx);
+  return first_absmax_tail(m, x, i, vals, idx, 8);
 }
 
 // ---------------------------------------- avx512 float panel kernels ---
@@ -568,27 +595,27 @@ __attribute__((target("avx512f"))) int rank1_iamax_avx512(int m,
 }
 
 __attribute__((target("avx512f"))) int iamax_avx512(int m, const float* x) {
-  __m512 vmax = _mm512_setzero_ps();
-  __mmask16 unord = 0;
-  int i = 0;
+  if (m < 16) return iamax_c(m, x);
+  __m512 vmax = _mm512_abs_ps(_mm512_loadu_ps(x));
+  __mmask16 unord = _mm512_cmp_ps_mask(vmax, vmax, _CMP_UNORD_Q);
+  __m512i cur = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                  13, 14, 15),
+          vidx = cur;
+  int i = 16;
   for (; i + 16 <= m; i += 16) {
-    const __m512 v = _mm512_loadu_ps(x + i);
+    const __m512 v = _mm512_abs_ps(_mm512_loadu_ps(x + i));
+    cur = _mm512_add_epi32(cur, _mm512_set1_epi32(16));
     unord |= _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
-    // masked form with explicit src: GCC-12's unmasked wrapper warns on
-    // its internal undefined passthru
-    vmax = _mm512_mask_max_ps(vmax, 0xFFFF, vmax, _mm512_abs_ps(v));
+    const __mmask16 gt = _mm512_cmp_ps_mask(v, vmax, _CMP_GT_OQ);
+    vmax = _mm512_mask_mov_ps(vmax, gt, v);
+    vidx = _mm512_mask_mov_epi32(vidx, gt, cur);
   }
-  bool saw_nan = unord != 0;
-  float tmp[16];
-  _mm512_storeu_ps(tmp, vmax);
-  float best = tmp[0];
-  for (int q = 1; q < 16; ++q) best = std::max(best, tmp[q]);
-  for (; i < m; ++i) {
-    saw_nan = saw_nan || std::isnan(x[i]);
-    best = std::max(best, std::fabs(x[i]));
-  }
-  if (saw_nan) return iamax_c(m, x);
-  return find_first_absmax(m, x, best);
+  if (unord != 0) return iamax_c(m, x);
+  float vals[16];
+  int idx[16];
+  _mm512_storeu_ps(vals, vmax);
+  _mm512_storeu_si512(idx, vidx);
+  return first_absmax_tail(m, x, i, vals, idx, 16);
 }
 
 #endif  // CALU_X86

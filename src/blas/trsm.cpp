@@ -50,7 +50,7 @@ constexpr int kInvMinRhs = 32;   // fewest RHS that pay for the gemm recast
 
 // Couplings with inner dimension <= kSmallK sit below gemm's blocked-path
 // profitability threshold (it would take its naive scalar shortcut);
-// route them through the dispatched panel_update kernel instead, which
+// route them through the dispatched panel_fma kernel instead, which
 // accumulates directly into C with no packing.
 constexpr int kSmallK = 16;
 
@@ -105,24 +105,6 @@ const T* pack_diag(const T* t, int ldt, int nb, UpLo uplo, Diag diag) {
 
 // ----------------------------------------- inverted-leaf gemm recast ---
 
-// inv := T^{-1} for the nb x nb lower triangle T; columns solved by
-// forward substitution, upper part zero-filled.
-template <class T>
-void invert_lower(const T* t, int ldt, int nb, Diag diag, T* inv) {
-  for (int j = 0; j < nb; ++j) {
-    T* x = inv + static_cast<std::size_t>(j) * nb;
-    for (int i = 0; i < j; ++i) x[i] = T(0);
-    x[j] = T(1) / diag_val(t, ldt, diag, j);
-    for (int i = j + 1; i < nb; ++i) {
-      const T* ti = t + i;
-      T s = T(0);
-      for (int p = j; p < i; ++p)
-        s += ti[static_cast<std::size_t>(p) * ldt] * x[p];
-      x[i] = -s / diag_val(t, ldt, diag, i);
-    }
-  }
-}
-
 // inv := T^{-1} for the nb x nb upper triangle T (backward substitution).
 template <class T>
 void invert_upper(const T* t, int ldt, int nb, Diag diag, T* inv) {
@@ -148,12 +130,12 @@ int split_point(int n) {
 }
 
 // C(0:m, 0:n) -= L * U through the dispatched path that fits the inner
-// dimension: panel_update below kSmallK, gemm above it.
+// dimension: panel_fma below kSmallK, gemm above it.
 template <class T>
 void coupled_update(int m, int n, int k, const T* l, int ldl, const T* u,
                     int ldu, T* c, int ldc) {
   if (k <= kSmallK)
-    active_kernel_t<T>().panel_update(m, n, k, l, ldl, u, ldu, c, ldc);
+    active_kernel_t<T>().panel_fma(m, n, k, l, ldl, u, ldu, c, ldc);
   else
     gemm(Trans::No, Trans::No, m, n, k, T(-1), l, ldl, u, ldu, T(1), c, ldc);
 }
@@ -180,7 +162,7 @@ void solve_rec(Side side, UpLo uplo, Trans trans, Diag diag, int m, int n,
     const MicroKernelT<T>& mk = active_kernel_t<T>();
     T inv[kInvNB * kInvNB];
     if (uplo == UpLo::Lower)
-      invert_lower(t, ldt, tdim, diag, inv);
+      invert_lower(t, ldt, tdim, diag == Diag::Unit, inv);
     else
       invert_upper(t, ldt, tdim, diag, inv);
     if (trans == Trans::Yes) {

@@ -17,7 +17,7 @@ namespace {
 constexpr int kColumnMajorTile = 128;
 
 /// Columns per strip of a diagonal tile: the strip's own triangle is
-/// solved in scalar code, the rest of the tile by one panel_update.
+/// solved in scalar code, the rest of the tile by one panel_fma.
 constexpr int kStrip = 8;
 
 /// Columns of A per step of the residual pass: small enough that a
@@ -87,9 +87,9 @@ void lower_unit(const layout::BlockRef& t, double* x, int ldx, int nrhs,
       }
     }
     if (j1 < kk)
-      mk.panel_update(kk - j1, nrhs, j1 - j0,
-                      t.ptr + j1 + static_cast<std::size_t>(j0) * t.ld, t.ld,
-                      x + j0, ldx, x + j1, ldx);
+      mk.panel_fma(kk - j1, nrhs, j1 - j0,
+                   t.ptr + j1 + static_cast<std::size_t>(j0) * t.ld, t.ld,
+                   x + j0, ldx, x + j1, ldx);
   }
 }
 
@@ -107,9 +107,9 @@ void upper(const layout::BlockRef& t, double* x, int ldx, int nrhs,
       }
     }
     if (j0 > 0)
-      mk.panel_update(j0, nrhs, j1 - j0,
-                      t.ptr + static_cast<std::size_t>(j0) * t.ld, t.ld,
-                      x + j0, ldx, x, ldx);
+      mk.panel_fma(j0, nrhs, j1 - j0,
+                   t.ptr + static_cast<std::size_t>(j0) * t.ld, t.ld, x + j0,
+                   ldx, x, ldx);
   }
 }
 
@@ -123,8 +123,8 @@ void tile_update(const blas::MicroKernel& mk, const layout::BlockRef& tile,
                  const double* xk, double* xi, int ldx, int nrhs,
                  std::vector<double>& t) {
   t.assign(static_cast<std::size_t>(tile.rows) * nrhs, 0.0);
-  mk.panel_update(tile.rows, nrhs, tile.cols, tile.ptr, tile.ld, xk, ldx,
-                  t.data(), tile.rows);
+  mk.panel_fma(tile.rows, nrhs, tile.cols, tile.ptr, tile.ld, xk, ldx,
+               t.data(), tile.rows);
   for (int c = 0; c < nrhs; ++c)
     for (int i = 0; i < tile.rows; ++i)
       xi[i + static_cast<std::size_t>(c) * ldx] +=
@@ -138,8 +138,9 @@ void tile_update(const blas::MicroKernel& mk, const layout::BlockRef& tile,
 /// the factorization's own right-swap order with x as one more column.
 /// LAPACK-form factors get every swap first, as getrs does.  The tile
 /// updates x_I -= L(I,k) x_k (and U's, backwards) go through the
-/// dispatched panel_update kernel, which streams each tile once with no
-/// packing and no padding of x to the register width.
+/// dispatched panel_fma kernel, which streams each tile once with no
+/// packing and no padding of x to the register width, one rounding per
+/// term.
 void lu_solve(const Factors& f, layout::Matrix& x) {
   const layout::Tiling& tl = f.tiling;
   const blas::MicroKernel& mk = blas::active_kernel();
@@ -207,8 +208,8 @@ class Residual {
     for (int j0 = 0; j0 < n; j0 += kResidualCols) {
       const int w = std::min(kResidualCols, n - j0);
       const double* aj = a_.data() + static_cast<std::size_t>(j0) * a_.ld();
-      mk.panel_update(m, x.cols(), w, aj, a_.ld(), x.data() + j0, x.ld(),
-                      r_.data(), r_.ld());
+      mk.panel_fma(m, x.cols(), w, aj, a_.ld(), x.data() + j0, x.ld(),
+                   r_.data(), r_.ld());
       if (!rowsum.empty()) add_abs_rows(m, w, aj, a_.ld(), rowsum.data());
     }
     if (norm_a_ < 0.0)

@@ -14,7 +14,7 @@
 // PlanKind::WholeJob) and any column-major [L\U] are LAPACK-form, so
 // there it applies every swap first.  The tile updates, the residual and
 // the refinement each stream their operand once through the dispatched
-// panel_update kernel.
+// panel_fma kernel.
 #pragma once
 
 #include "src/util/span.h"

@@ -26,11 +26,9 @@ void tournament_select_impl(int rows, int width, T* w, int ldw, int* src) {
   for (int j = 0; j < width; ++j)
     std::copy_n(w + static_cast<std::size_t>(j) * ldw, rows,
                 scratch.data() + static_cast<std::size_t>(j) * rows);
-  // The recursion bottoms out into the blocked vectorized panel kernel
-  // (blas::getf2) at its default 32-column leaf — tuned on exactly the
-  // dominant tournament shapes (2*width x width merge nodes).  Pivot
-  // choices are unchanged: the panel kernel is bit-identical to
-  // unblocked elimination.
+  // Recursive GEPP picks the pivots.  Its factors agree with unblocked
+  // elimination only to rounding, so on near-ties a pivot may differ from
+  // getf2's; the swaps are replayed on the untouched original rows below.
   blas::getrf_recursive(rows, width, scratch.data(), rows, ipiv.data());
   // Replay the pivot swaps on the original values and the origin ids.
   const int k = std::min(rows, width);

@@ -1,5 +1,6 @@
-// blas_conformance_test.cpp — exhaustive gemm conformance sweep of every
-// dispatched micro-kernel variant against a naive reference.
+// blas_conformance_test.cpp — exhaustive gemm, trsm and panel_fma
+// conformance sweeps of every dispatched micro-kernel variant against
+// naive references.
 //
 // The dispatch table (microkernel.h) is exercised variant by variant via
 // select_kernel(), so a single run on AVX-512 hardware covers the
@@ -156,7 +157,7 @@ TEST_P(KernelConformance, CacheBlockBoundaries) {
 // ---------------------------------------------------------------- TRSM ---
 //
 // The blocked trsm recasts its diagonal-block solves as multiplies by
-// inverted leaf blocks and its couplings as panel_update/gemm calls, per
+// inverted leaf blocks and its couplings as panel_fma/gemm calls, per
 // dispatch variant.  Sweep all 16 side/uplo/trans/diag combinations at
 // the structural boundary sizes — the inverted-leaf width (kTrsmLeafNB),
 // the substitution/inverse threshold (32 right-hand sides), and the
@@ -445,6 +446,78 @@ TEST_P(KernelConformance, FloatTrsmAllCasesBoundarySweep) {
                   << nrhs << " kernel=" << blas::active_kernel().name
                   << " (float)";
             }
+}
+
+// ----------------------------------------------------------- panel_fma ---
+//
+// The FMA update entry (C -= L U straight into C, no packing) against the
+// textbook loop in double, at both precisions: the gemm sweep's ragged
+// and register-strip sizes for m and n (plus the edges of the kernel's
+// two-vector row blocks), and inner dimensions from the leaf's rank-1
+// and rank-8 updates up to a solve tile.  Leading dimensions exceed the
+// row counts so a kernel that assumes packed columns fails.
+
+template <class T>
+void check_panel_fma(int m, int n, int kb, std::uint64_t seed, double eps) {
+  const int ldl = m + 3, ldu = kb + 2, ldc = m + 5;
+  const auto fill = [](int rows, int cols, int ld, std::uint64_t s) {
+    const Matrix d = Matrix::random(rows, cols, s);
+    std::vector<T> v(static_cast<std::size_t>(ld) * cols, T(0));
+    for (int j = 0; j < cols; ++j)
+      for (int i = 0; i < rows; ++i)
+        v[i + static_cast<std::size_t>(j) * ld] = static_cast<T>(d(i, j));
+    return v;
+  };
+  const std::vector<T> l = fill(m, kb, ldl, seed);
+  const std::vector<T> u = fill(kb, n, ldu, seed + 1);
+  std::vector<T> c = fill(m, n, ldc, seed + 2);
+  const std::vector<T> c0 = c;
+  blas::active_kernel_t<T>().panel_fma(m, n, kb, l.data(), ldl, u.data(), ldu,
+                                       c.data(), ldc);
+  const double tol = eps * (kb + 1.0) * (kb + 4);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < m; ++i) {
+      double want = c0[i + static_cast<std::size_t>(j) * ldc];
+      for (int p = 0; p < kb; ++p)
+        want -= double(l[i + static_cast<std::size_t>(p) * ldl]) *
+                double(u[p + static_cast<std::size_t>(j) * ldu]);
+      ASSERT_LE(std::abs(double(c[i + static_cast<std::size_t>(j) * ldc]) -
+                         want),
+                tol)
+          << "m=" << m << " n=" << n << " kb=" << kb << " i=" << i
+          << " j=" << j << " kernel=" << blas::active_kernel().name
+          << (sizeof(T) == 4 ? " (float)" : "");
+    }
+  // Rows past m in each column are padding the kernel must not touch.
+  for (int j = 0; j < n; ++j)
+    for (int i = m; i < ldc; ++i)
+      ASSERT_EQ(c[i + static_cast<std::size_t>(j) * ldc],
+                c0[i + static_cast<std::size_t>(j) * ldc])
+          << "m=" << m << " n=" << n << " kb=" << kb << " row " << i;
+}
+
+template <class T>
+void panel_fma_sweep(std::uint64_t seed, double eps) {
+  const blas::MicroKernelT<T>& mk = blas::active_kernel_t<T>();
+  const int lanes = 64 / static_cast<int>(sizeof(T));
+  std::vector<int> sizes;
+  for (int v = 1; v <= 9; ++v) sizes.push_back(v);
+  for (int v : {mk.mr - 1, mk.mr, mk.mr + 1, mk.nr - 1, mk.nr, mk.nr + 1,
+                lanes - 1, lanes + 1, 2 * lanes - 1, 2 * lanes + 1})
+    if (v >= 1) sizes.push_back(v);
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  for (int m : sizes)
+    for (int n : sizes)
+      for (int kb : {1, 8, 64, 128}) check_panel_fma<T>(m, n, kb, ++seed, eps);
+}
+
+TEST_P(KernelConformance, PanelFmaSweep) {
+  panel_fma_sweep<double>(60000, 1e-15);
+}
+
+TEST_P(KernelConformance, FloatPanelFmaSweep) {
+  panel_fma_sweep<float>(160000, 1.2e-7);
 }
 
 TEST_P(KernelConformance, FloatAndDoubleTablesShareVariantNames) {

@@ -62,14 +62,17 @@ int ref_getf2(int m, int n, double* a, int lda, int* ipiv) {
   return info;
 }
 
-// Shapes crossing every structural edge of the blocked kernel: the
-// 16-wide panel-block boundary, strip boundaries of the SIMD row loops,
-// wide matrices (trailing columns past kmin), and tall TSLU-leaf panels.
+// Shapes crossing every structural edge of the blocked kernels: getf2's
+// 16-wide panel-block boundary, the 8-column blocks of getrf_recursive's
+// leaf and the leaf width itself (both sides of each), strip boundaries
+// of the SIMD row loops, wide matrices (trailing columns past kmin), and
+// tall TSLU-leaf panels.
 const std::pair<int, int> kShapes[] = {
-    {1, 1},    {2, 2},     {5, 3},    {8, 8},    {15, 15}, {16, 16},
-    {17, 17},  {16, 33},   {33, 16},  {33, 29},  {64, 64}, {100, 100},
-    {129, 64}, {64, 129},  {257, 64}, {64, 257}, {96, 96}, {200, 128},
-    {513, 48}, {1024, 32},
+    {1, 1},    {2, 2},     {5, 3},    {8, 8},     {15, 15},   {16, 16},
+    {17, 17},  {16, 33},   {33, 16},  {33, 29},   {64, 64},   {100, 100},
+    {129, 64}, {64, 129},  {257, 64}, {64, 257},  {96, 96},   {200, 128},
+    {513, 48}, {1024, 32}, {7, 7},    {9, 9},     {63, 63},   {65, 65},
+    {72, 9},   {9, 72},    {130, 66}, {127, 127}, {129, 129}, {300, 97},
 };
 
 class PanelExactness : public test::KernelVariantTest {};
@@ -158,6 +161,33 @@ TEST_P(PanelExactness, RecursivePivotsMatchReference) {
     ref_getf2(m, n, b.data(), b.ld(), ipb.data());
     EXPECT_EQ(ipa, ipb) << m << "x" << n;
     EXPECT_LT(test::max_abs_diff(a, b), 1e-11) << m << "x" << n;
+  }
+}
+
+TEST_P(PanelExactness, RecursiveZeroColumnsMatchReferenceInfo) {
+  // Exactly zero columns in the first, a middle and the last 8-column
+  // block, on shapes the leaf factors whole and on shapes the recursion
+  // splits first: getrf_recursive must report the reference's info (the
+  // first zero pivot), complete the factorization and keep every factor
+  // finite.
+  std::uint64_t seed = 2000;
+  for (const auto& [m, n] : {std::pair{40, 40}, {64, 64}, {90, 70},
+                             {200, 160}, {300, 300}}) {
+    Matrix a = Matrix::random(m, n, ++seed);
+    const int k = std::min(m, n);
+    for (int z : {2, k / 2 + 3, k - 1})
+      for (int i = 0; i < m; ++i) a(i, z) = 0.0;
+    Matrix b = a;
+    std::vector<int> ipa(k), ipb(k);
+    const int info_a =
+        blas::getrf_recursive(m, n, a.data(), a.ld(), ipa.data());
+    const int info_b = ref_getf2(m, n, b.data(), b.ld(), ipb.data());
+    EXPECT_EQ(info_a, info_b) << m << "x" << n;
+    EXPECT_EQ(info_a, 3) << m << "x" << n;
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < m; ++i)
+        ASSERT_TRUE(std::isfinite(a(i, j)))
+            << m << "x" << n << " at " << i << "," << j;
   }
 }
 
