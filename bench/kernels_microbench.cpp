@@ -19,7 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <iterator>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -217,6 +217,35 @@ std::vector<float> frandom(int m, int n, std::uint64_t seed) {
   return out;
 }
 
+/// Writes the entries of one panel_gflops section: getf2 (m > 0) or
+/// getrf_recursive (m < 0) on each named |m| x n panel at precision T,
+/// with the copy that restores the input subtracted.
+using PanelShape = std::pair<const char*, std::pair<int, int>>;
+template <class T>
+void emit_panels(std::FILE* f, std::initializer_list<PanelShape> panels) {
+  const char* sep = "";
+  for (const PanelShape& p : panels) {
+    const bool recursive = p.second.first < 0;
+    const int m = std::abs(p.second.first);
+    const int n = p.second.second;
+    const layout::Matrix d = layout::Matrix::random(m, n, 1);
+    const std::vector<T> a0(d.data(), d.data() + d.ld() * n);
+    std::vector<T> a = a0;
+    std::vector<int> ipiv(n);
+    const double s_fact = seconds_of([&] {
+      a = a0;
+      if (recursive)
+        blas::getrf_recursive(m, n, a.data(), d.ld(), ipiv.data());
+      else
+        blas::getf2(m, n, a.data(), d.ld(), ipiv.data());
+    });
+    const double s_copy = seconds_of([&] { a = a0; });
+    const double g = lu_flops(m, n) / std::max(s_fact - s_copy, 1e-9) * 1e-9;
+    std::fprintf(f, "%s\"%s\": %.2f", sep, p.first, g);
+    sep = ", ";
+  }
+}
+
 int run_json(const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -313,35 +342,14 @@ int run_json(const char* path) {
     // shapes, and the recursive GEPP operator on whole small jobs (64^2
     // to 256^2), the b = 96 tournament merge (192 x 96) and a tall panel.
     std::fprintf(f, "     \"panel_gflops\": {");
-    const std::pair<const char*, std::pair<int, int>> panels[] = {
-        {"getf2_128x128", {128, 128}},
-        {"getf2_512x128", {512, 128}},
-        {"getf2_2048x128", {2048, 128}},
-        {"getrf_rec_2048x128", {-2048, 128}},
-        {"getrf_rec_64x64", {-64, 64}},
-        {"getrf_rec_128x128", {-128, 128}},
-        {"getrf_rec_256x256", {-256, 256}},
-        {"getrf_rec_192x96", {-192, 96}},
-    };
-    for (std::size_t i = 0; i < std::size(panels); ++i) {
-      const bool recursive = panels[i].second.first < 0;
-      const int m = std::abs(panels[i].second.first);
-      const int n = panels[i].second.second;
-      auto a0 = layout::Matrix::random(m, n, 1);
-      auto a = a0;
-      std::vector<int> ipiv(n);
-      const double s_fact = seconds_of([&] {
-        a = a0;
-        if (recursive)
-          blas::getrf_recursive(m, n, a.data(), m, ipiv.data());
-        else
-          blas::getf2(m, n, a.data(), m, ipiv.data());
-      });
-      const double s_copy = seconds_of([&] { a = a0; });
-      const double g =
-          lu_flops(m, n) / std::max(s_fact - s_copy, 1e-9) * 1e-9;
-      std::fprintf(f, "%s\"%s\": %.2f", i ? ", " : "", panels[i].first, g);
-    }
+    emit_panels<double>(f, {{"getf2_128x128", {128, 128}},
+                            {"getf2_512x128", {512, 128}},
+                            {"getf2_2048x128", {2048, 128}},
+                            {"getrf_rec_2048x128", {-2048, 128}},
+                            {"getrf_rec_64x64", {-64, 64}},
+                            {"getrf_rec_128x128", {-128, 128}},
+                            {"getrf_rec_256x256", {-256, 256}},
+                            {"getrf_rec_192x96", {-192, 96}}});
     std::fprintf(f, "},\n");
     // Row interchanges: effective bandwidth of the fused swap sweeps
     // (each swapped element read + written once = 4 accesses per pair).
@@ -411,30 +419,9 @@ int run_json(const char* path) {
     std::fprintf(f, "},\n       \"panel_gflops\": {");
     // getf2 on a TSLU-leaf panel; getrf_recursive on a whole small job and
     // on gesv_mixed's b = 64 tournament merge (128 x 64).
-    const std::pair<const char*, std::pair<int, int>> fpanels[] = {
-        {"getf2_512x128", {512, 128}},
-        {"getrf_rec_64x64", {-64, 64}},
-        {"getrf_rec_128x64", {-128, 64}},
-    };
-    for (std::size_t i = 0; i < std::size(fpanels); ++i) {
-      const bool recursive = fpanels[i].second.first < 0;
-      const int m = std::abs(fpanels[i].second.first);
-      const int n = fpanels[i].second.second;
-      const auto a0 = frandom(m, n, 1);
-      auto a = a0;
-      std::vector<int> ipiv(n);
-      const double s_fact = seconds_of([&] {
-        a = a0;
-        if (recursive)
-          blas::getrf_recursive(m, n, a.data(), m, ipiv.data());
-        else
-          blas::getf2(m, n, a.data(), m, ipiv.data());
-      });
-      const double s_copy = seconds_of([&] { a = a0; });
-      const double g =
-          lu_flops(m, n) / std::max(s_fact - s_copy, 1e-9) * 1e-9;
-      std::fprintf(f, "%s\"%s\": %.2f", i ? ", " : "", fpanels[i].first, g);
-    }
+    emit_panels<float>(f, {{"getf2_512x128", {512, 128}},
+                           {"getrf_rec_64x64", {-64, 64}},
+                           {"getrf_rec_128x64", {-128, 64}}});
     std::fprintf(f, "}}}%s\n", ki + 1 < names.size() ? "," : "");
   }
   blas::select_kernel(nullptr);
