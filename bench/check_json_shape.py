@@ -20,10 +20,10 @@ must be non-decreasing — a broken percentile helper (the floor-vs-
 nearest-rank class of bug) or a shuffled emission fails here instead of
 committing a self-contradictory trajectory point.
 
-Ratio fields (any key containing "_vs_", e.g. the tuning section's
-auto_vs_best) must be finite and strictly positive: a zero, negative, or
-NaN ratio means a broken timer or a division by an unmeasured baseline,
-which would poison trajectory comparisons silently.
+Ratio fields (any key containing "_vs_", e.g. the float32 sub-object's
+gemm_speedup_vs_f64) must be finite and strictly positive: a zero,
+negative, or NaN ratio means a broken timer or a division by an
+unmeasured baseline, which would poison trajectory comparisons silently.
 
 Exit status: 0 on shape match (extra keys allowed), 1 on missing keys,
 non-monotone percentile triples, bad ratio fields, or unparseable input.
@@ -85,8 +85,8 @@ def numeric_leaves(obj, prefix=""):
 
 def ratio_violations(obj, prefix=""):
     """Yields (path, message) for every numeric leaf under a *_vs_* key
-    (a scalar like auto_vs_best, or a per-size table like
-    gemm_speedup_vs_f64) that is not a finite positive number."""
+    (a scalar, or a per-size table like gemm_speedup_vs_f64) that is not
+    a finite positive number."""
     out = []
     if isinstance(obj, dict):
         for k, v in obj.items():

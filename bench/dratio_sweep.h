@@ -32,9 +32,6 @@ inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
       opt.layout = lay;
       opt.dratio = d;
       opt.engine = engine;
-      opt.schedule = d == 0.0   ? core::Schedule::Static
-                     : d == 1.0 ? core::Schedule::Dynamic
-                                : core::Schedule::Hybrid;
       Timing t = time_calu(a0, opt, session);
       const char* name = d == 0.0   ? "static"
                          : d == 1.0 ? "dynamic"

@@ -26,9 +26,6 @@ int main() {
         opt.threads = threads;
         opt.layout = lay;
         opt.dratio = d;
-        opt.schedule = d == 0.0   ? core::Schedule::Static
-                       : d == 1.0 ? core::Schedule::Dynamic
-                                  : core::Schedule::Hybrid;
         // Median of reps.
         double best = 1e300, gf = 0;
         for (int r = 0; r < reps(); ++r) {

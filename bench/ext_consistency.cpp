@@ -5,6 +5,7 @@
 // Measures mean and relative stddev of the factor time across repeated
 // runs, with and without injected noise, per schedule.
 #include <cmath>
+#include <utility>
 
 #include "bench/bench_common.h"
 
@@ -29,15 +30,13 @@ int main() {
   spec.mean_us = 400.0;
   spec.jitter_us = 150.0;
 
-  for (auto [sched, d, name] :
-       {std::tuple{core::Schedule::Static, 0.0, "static"},
-        std::tuple{core::Schedule::Hybrid, 0.10, "hybrid(10%)"},
-        std::tuple{core::Schedule::Dynamic, 1.0, "dynamic"}}) {
+  for (auto [d, name] : {std::pair{0.0, "static"},
+                         std::pair{0.10, "hybrid(10%)"},
+                         std::pair{1.0, "dynamic"}}) {
     for (bool noisy : {false, true}) {
       core::Options opt;
       opt.b = default_b(n);
       opt.threads = threads;
-      opt.schedule = sched;
       opt.dratio = d;
       opt.noise = noisy ? spec : noise::NoiseSpec{};
       double sum = 0.0, sum2 = 0.0;

@@ -6,8 +6,8 @@
 
 int main(int argc, char** argv) {
   using namespace calu::bench;
-  profile_run("Figure 1", calu::core::Schedule::Static, 0.0,
-              calu::layout::Layout::TwoLevelBlock, "fig01_profile_static.svg",
+  profile_run("Figure 1", 0.0, calu::layout::Layout::TwoLevelBlock,
+              "fig01_profile_static.svg",
               "unpredictable pockets of thread idle time scattered through "
               "the run; idle fraction visibly nonzero",
               engine_flag(argc, argv).c_str());

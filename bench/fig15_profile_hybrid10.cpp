@@ -6,8 +6,7 @@
 
 int main(int argc, char** argv) {
   using namespace calu::bench;
-  profile_run("Figure 15", calu::core::Schedule::Hybrid, 0.10,
-              calu::layout::Layout::TwoLevelBlock,
+  profile_run("Figure 15", 0.10, calu::layout::Layout::TwoLevelBlock,
               "fig15_profile_hybrid10.svg",
               "idle time drastically reduced relative to Figure 1 (static) "
               "and Figure 14 (dynamic CM); threads stay busy to the end",

@@ -25,12 +25,11 @@ inline void improvement_sweep(const char* fig, layout::Layout lay,
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = lay;
-      opt.schedule = core::Schedule::Static;
+      opt.dratio = 0.0;
       const Timing ts = time_calu(a0, opt, session);
-      opt.schedule = core::Schedule::Dynamic;
+      opt.dratio = 1.0;
       const Timing td = time_calu(a0, opt, session);
       for (double d : {0.10, 0.20}) {
-        opt.schedule = core::Schedule::Hybrid;
         opt.dratio = d;
         const Timing th = time_calu(a0, opt, session);
         std::printf("%-8d %-8d %-9.0f %-13.1f %-13.1f %-10.1f\n", threads, n,

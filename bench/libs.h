@@ -27,7 +27,6 @@ inline void libs_sweep(const char* fig, int threads,
 
     core::Options opt;
     opt.b = b;
-    opt.schedule = core::Schedule::Hybrid;
     opt.dratio = 0.10;
     opt.engine = engine;
     opt.layout = layout::Layout::BlockCyclic;

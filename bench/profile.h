@@ -7,23 +7,21 @@
 
 namespace calu::bench {
 
-inline void profile_run(const char* fig, core::Schedule sched, double dratio,
-                        layout::Layout lay, const char* svg_name,
-                        const char* paper_shape, const char* engine = "") {
+inline void profile_run(const char* fig, double dratio, layout::Layout lay,
+                        const char* svg_name, const char* paper_shape,
+                        const char* engine = "") {
   print_banner(fig, "execution timeline profile", paper_shape);
   const int n = full_scale() ? 5000 : 2500;
   const int b = 100;  // the paper's profile setup: n=2500, b=100, 16 cores
   const int threads = intel_threads();
-  std::printf("# n=%d b=%d threads=%d schedule=%s(%.0f%% dyn) layout=%s\n",
-              n, b, threads, core::schedule_name(sched), dratio * 100,
-              layout::layout_name(lay));
+  std::printf("# n=%d b=%d threads=%d dynamic=%.0f%% layout=%s\n", n, b,
+              threads, dratio * 100, layout::layout_name(lay));
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
   sched::Session session(sched::SessionOptions{threads, true});
   trace::Recorder rec;
   core::Options opt;
   opt.b = b;
-  opt.schedule = sched;
   opt.dratio = dratio;
   opt.layout = lay;
   opt.threads = threads;

@@ -7,9 +7,8 @@
 # Writes BENCH_kernels.json (single-thread GFLOP/s of gemm, trsm, and the
 # blocked panel factorization at BOTH precisions, plus GB/s of the fused
 # row swaps, at the paper's tile sizes for every dispatched micro-kernel
-# variant, the gesv_mixed speed-vs-accuracy sweep as a top-level
-# "mixed_precision" section, and the TuneMode::Auto-vs-hand-tuned
-# comparison as a top-level "tuning" section), BENCH_batch.json (batched
+# variant, and the gesv_mixed speed-vs-accuracy sweep as a top-level
+# "mixed_precision" section), BENCH_batch.json (batched
 # factorize+solve jobs/s with session reuse on/off — the solver-service
 # amortization), and BENCH_service.json (async sched::Service: per-class
 # latency percentiles under open-loop Poisson load, idle CPU, and
@@ -38,7 +37,7 @@ service_out="${3:-$repo/BENCH_service.json}"
 
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release -DCALU_BUILD_BENCH=ON
 cmake --build "$build" -j"$(nproc)" --target kernels_microbench \
-  batch_throughput mixed_precision service_throughput tune_sweep
+  batch_throughput mixed_precision service_throughput
 
 "$build/kernels_microbench" --json="$out"
 
@@ -55,23 +54,6 @@ with open(kernels_path) as fh:
     kernels = json.load(fh)
 with open(mixed_path) as fh:
     kernels["mixed_precision"] = json.load(fh)
-with open(kernels_path, "w") as fh:
-    json.dump(kernels, fh, indent=1)
-    fh.write("\n")
-EOF
-
-# TuneMode::Auto vs the best hand-tuned d-ratio point, spliced in as the
-# "tuning" section.
-tune_tmp="$build/BENCH_tuning.json"
-CALU_BENCH_REPS="${CALU_BENCH_REPS:-3}" "$build/tune_sweep" \
-  --json="$tune_tmp"
-python3 - "$out" "$tune_tmp" <<'EOF'
-import json, sys
-kernels_path, tune_path = sys.argv[1], sys.argv[2]
-with open(kernels_path) as fh:
-    kernels = json.load(fh)
-with open(tune_path) as fh:
-    kernels["tuning"] = json.load(fh)
 with open(kernels_path, "w") as fh:
     json.dump(kernels, fh, indent=1)
     fh.write("\n")

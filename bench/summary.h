@@ -23,22 +23,16 @@ inline void summary_sweep(const char* fig, int threads,
   struct Variant {
     const char* name;
     layout::Layout lay;
-    core::Schedule sched;
     double dratio;
   };
   const Variant variants[] = {
-      {"BCL/static", layout::Layout::BlockCyclic, core::Schedule::Static, 0},
-      {"BCL/dynamic", layout::Layout::BlockCyclic, core::Schedule::Dynamic, 1},
-      {"BCL/static(10%dyn)", layout::Layout::BlockCyclic,
-       core::Schedule::Hybrid, 0.10},
-      {"2l-BL/static", layout::Layout::TwoLevelBlock, core::Schedule::Static,
-       0},
-      {"2l-BL/dynamic", layout::Layout::TwoLevelBlock,
-       core::Schedule::Dynamic, 1},
-      {"2l-BL/static(10%dyn)", layout::Layout::TwoLevelBlock,
-       core::Schedule::Hybrid, 0.10},
-      {"CM/dynamic (rectangular)", layout::Layout::ColumnMajor,
-       core::Schedule::Dynamic, 1},
+      {"BCL/static", layout::Layout::BlockCyclic, 0},
+      {"BCL/dynamic", layout::Layout::BlockCyclic, 1},
+      {"BCL/static(10%dyn)", layout::Layout::BlockCyclic, 0.10},
+      {"2l-BL/static", layout::Layout::TwoLevelBlock, 0},
+      {"2l-BL/dynamic", layout::Layout::TwoLevelBlock, 1},
+      {"2l-BL/static(10%dyn)", layout::Layout::TwoLevelBlock, 0.10},
+      {"CM/dynamic (rectangular)", layout::Layout::ColumnMajor, 1},
   };
   for (int n : ns) {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
@@ -46,7 +40,6 @@ inline void summary_sweep(const char* fig, int threads,
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = v.lay;
-      opt.schedule = v.sched;
       opt.dratio = v.dratio;
       opt.engine = engine;
       Timing t = time_calu(a0, opt, session);

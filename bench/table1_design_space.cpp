@@ -19,16 +19,15 @@ int main() {
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
 
   struct Cell {
-    core::Schedule sched;
     double dratio;
     const char* name;
     const char* engine;
   };
   const Cell cells[] = {
-      {core::Schedule::Static, 0.0, "static", "hybrid"},
-      {core::Schedule::Dynamic, 1.0, "dynamic", "hybrid"},
-      {core::Schedule::Hybrid, 0.10, "static(10%dyn)", "hybrid"},
-      {core::Schedule::Hybrid, 0.0, "work-steal*", "work-stealing"},
+      {0.0, "static", "hybrid"},
+      {1.0, "dynamic", "hybrid"},
+      {0.10, "static(10%dyn)", "hybrid"},
+      {0.0, "work-steal*", "work-stealing"},
   };
   std::printf("%-22s", "layout\\schedule");
   for (const Cell& c : cells) std::printf("%-16s", c.name);
@@ -40,12 +39,10 @@ int main() {
     std::printf("%-22s", layout::layout_name(lay));
     for (const Cell& c : cells) {
       const bool in_paper =
-          lay != layout::Layout::ColumnMajor ||
-          c.sched == core::Schedule::Dynamic;
+          lay != layout::Layout::ColumnMajor || c.dratio == 1.0;
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = lay;
-      opt.schedule = c.sched;
       opt.dratio = c.dratio;
       opt.engine = c.engine;
       Timing t = time_calu(a0, opt, session);

@@ -31,7 +31,6 @@ int main() {
   core::Options opt;
   opt.b = b;
   opt.layout = layout::Layout::BlockCyclic;
-  opt.schedule = core::Schedule::Hybrid;
   opt.dratio = 0.1;
   sched::Session solo(sched::SessionOptions{1, true});
   const double t1 = time_calu(a0, opt, solo, 1).seconds;
@@ -48,9 +47,6 @@ int main() {
   double best_seconds = 1e300;
   double best_d = 0.0;
   for (double d : {0.0, 0.05, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0}) {
-    opt.schedule = d == 0.0   ? core::Schedule::Static
-                   : d == 1.0 ? core::Schedule::Dynamic
-                              : core::Schedule::Hybrid;
     opt.dratio = d;
     opt.noise = spec;
     Timing t = time_calu(a0, opt, session, reps());

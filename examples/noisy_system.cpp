@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "src/calu.h"
@@ -39,15 +40,13 @@ int main(int argc, char** argv) {
   std::printf("%-22s %12s %12s %14s\n", "schedule", "clean(s)", "noisy(s)",
               "slowdown");
 
-  for (auto [sched, d, name] :
-       {std::tuple{core::Schedule::Static, 0.0, "static"},
-        std::tuple{core::Schedule::Hybrid, 0.10, "hybrid(10% dyn)"},
-        std::tuple{core::Schedule::Hybrid, 0.30, "hybrid(30% dyn)"},
-        std::tuple{core::Schedule::Dynamic, 1.0, "dynamic"}}) {
+  for (auto [d, name] : {std::pair{0.0, "static"},
+                         std::pair{0.10, "hybrid(10% dyn)"},
+                         std::pair{0.30, "hybrid(30% dyn)"},
+                         std::pair{1.0, "dynamic"}}) {
     core::Options opt;
     opt.b = 128;
     opt.threads = threads;
-    opt.schedule = sched;
     opt.dratio = d;
     opt.layout = layout::Layout::BlockCyclic;
 

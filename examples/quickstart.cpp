@@ -18,11 +18,10 @@ int main(int argc, char** argv) {
 
   // CALU with the paper's recommended configuration: block-cyclic layout,
   // static scheduling with a 10% dynamic section, b = 100.  The engine
-  // is picked by name (sched::run_engine); Schedule::Hybrid maps to
-  // "hybrid" (set opt.engine to override, e.g. "work-stealing").
+  // is picked by name (sched::run_engine) and defaults to "hybrid" (set
+  // opt.engine to override, e.g. "work-stealing").
   core::Options opt;
   opt.b = 100;
-  opt.schedule = core::Schedule::Hybrid;
   opt.dratio = 0.10;
   opt.layout = layout::Layout::BlockCyclic;
 

@@ -34,9 +34,6 @@ int main(int argc, char** argv) {
       opt.threads = threads;
       opt.layout = lay;
       opt.dratio = d;
-      opt.schedule = d == 0.0   ? core::Schedule::Static
-                     : d == 1.0 ? core::Schedule::Dynamic
-                                : core::Schedule::Hybrid;
       layout::PackedMatrix p =
           layout::PackedMatrix::pack(a0, lay, opt.b, opt.resolved_grid());
       core::Factorization f = core::getrf(p, opt, session);

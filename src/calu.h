@@ -33,4 +33,3 @@
 #include "src/trace/svg.h"
 #include "src/trace/timeline.h"
 #include "src/trace/trace.h"
-#include "src/tune/autotuner.h"

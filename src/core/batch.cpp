@@ -128,37 +128,18 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     return res;
   }
 
-  // Options resolution stays serial: a tuned key's first resolve runs a
-  // calibration on a session of its own.  Tune keys first: each job's
-  // Options get their problem-size key stamped from that job's own
-  // matrix, so the engine agreement below compares tuned resolutions
-  // rather than the unkeyed defaults.
-  for (BatchJob& job : jobs)
-    job.options = with_tune_key(job.options, job.a->rows(), job.a->cols());
-
   // One engine executes the fused graph: a job set that names two engines
   // has no faithful fused schedule, and silently picking one would betray
   // whichever job asked for the other (run_engine's "warn and degrade"
-  // move is wrong here).  Reject loudly instead.  Tuned jobs with no
-  // explicit ask are the exception: different sizes may carry different
-  // tuned engines, and the caller's intent ("whatever is fastest") is
-  // served by adopting the lead job's resolution, not by a throw the
-  // caller cannot predict.
+  // move is wrong here).  Reject loudly instead.
   const std::string engine = jobs[0].options.resolved_engine();
-  for (BatchJob& job : jobs) {
-    Options& o = job.options;
-    if (o.tune != TuneMode::Off && o.engine.empty()) {
-      o.engine = engine;
-    } else if (o.resolved_engine() != engine) {
+  for (const BatchJob& job : jobs)
+    if (job.options.resolved_engine() != engine)
       throw std::invalid_argument(
           "batched_run(BatchMode::Fused): jobs disagree on the engine (\"" +
-          engine + "\" vs \"" + o.resolved_engine() +
-          "\"); align Options::engine/schedule across jobs or use "
+          engine + "\" vs \"" + job.options.resolved_engine() +
+          "\"); align Options::engine across jobs or use "
           "BatchMode::Sequential");
-    }
-  }
-  // The fused path owns the packing, like getrf.
-  for (BatchJob& job : jobs) job.options.b = job.options.resolved_b();
 
   const std::size_t n = jobs.size();
   sched::ThreadTeam& team = session.team();

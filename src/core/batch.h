@@ -65,10 +65,6 @@ namespace calu::core {
 struct BatchJob {
   layout::Matrix* a = nullptr;
   const layout::Matrix* rhs = nullptr;
-  /// Per-job knobs.  Under TuneMode::Auto the fused path
-  /// materializes the tuned resolution into this field (tune key, tile
-  /// size, and — for jobs with no explicit engine ask — the fused run's
-  /// engine), so on return it records what actually ran.
   Options options;
   std::function<void(int job)> on_complete;
 };
@@ -124,8 +120,8 @@ struct BatchRunResult {
 /// Matrices (and rhs) must outlive the call.  Every job is checked
 /// (core::input_defect) before any is packed or run: a null `a`, an rhs
 /// job whose `a` is not square or whose rhs row count differs from
-/// `a`'s, or options.b < 1 throws std::invalid_argument naming the job
-/// index.  Fused mode also rejects
+/// `a`'s, options.b < 1 or a NaN options.dratio throws
+/// std::invalid_argument naming the job index.  Fused mode also rejects
 /// job sets that disagree on the engine with std::invalid_argument;
 /// observability hooks (recorder, noise, lookahead_depth) for the fused
 /// run are taken from the first job's Options.

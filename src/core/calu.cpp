@@ -26,7 +26,6 @@
 #include "src/core/tslu.h"
 #include "src/model/lu_cost.h"
 #include "src/sched/session.h"
-#include "src/tune/autotuner.h"
 #include "src/util/aligned_buffer.h"
 
 namespace calu::core {
@@ -396,15 +395,6 @@ void cede_promotion(sched::TaskGraph& g, PriorityClass c) {
 
 }  // namespace
 
-const char* schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::Static: return "static";
-    case Schedule::Dynamic: return "dynamic";
-    case Schedule::Hybrid: return "hybrid";
-  }
-  return "?";
-}
-
 const char* precision_name(Precision p) {
   switch (p) {
     case Precision::Double: return "fp64";
@@ -421,14 +411,6 @@ const char* priority_class_name(PriorityClass c) {
   return "?";
 }
 
-const char* tune_mode_name(TuneMode m) {
-  switch (m) {
-    case TuneMode::Off: return "off";
-    case TuneMode::Auto: return "auto";
-  }
-  return "?";
-}
-
 int Options::resolved_threads() const {
   return threads > 0 ? threads : sched::ThreadTeam::hardware_threads();
 }
@@ -439,14 +421,11 @@ layout::Grid Options::resolved_grid() const {
 }
 
 double Options::resolved_dratio() const {
-  switch (schedule) {
-    case Schedule::Static: return 0.0;
-    case Schedule::Dynamic: return 1.0;
-    default: break;
-  }
-  const double d =
-      tune != TuneMode::Off ? tune::decision_for(*this).dratio : dratio;
-  if (d < 0.0 || d > 1.0) {
+  // NaN fails every range test below, so it would pass the clamp and
+  // reach floor(npanels * NaN), which has no int value.
+  if (std::isnan(dratio))
+    throw std::invalid_argument("calu::core: Options::dratio is NaN");
+  if (dratio < 0.0 || dratio > 1.0) {
     // Out-of-range ratios used to flow into plan construction silently
     // (dratio = 1.5 built a plan with a negative static prefix).  Clamp,
     // and say so once — a hot batch loop resolves this per job.
@@ -455,39 +434,22 @@ double Options::resolved_dratio() const {
       std::fprintf(stderr,
                    "calu::core: Options::dratio %g out of [0, 1]; "
                    "clamping (warned once)\n",
-                   d);
+                   dratio);
   }
-  return std::clamp(d, 0.0, 1.0);
+  return std::clamp(dratio, 0.0, 1.0);
 }
 
-int Options::resolved_b() const {
-  if (tune != TuneMode::Off && tune_n > 0)
-    return std::min(tune::decision_for(*this).b, tune_n);
-  return b;
-}
+int Options::resolved_b() const { return b; }
 
 std::string Options::resolved_engine() const {
-  if (!engine.empty()) return engine;
-  if (tune != TuneMode::Off) return tune::decision_for(*this).engine;
-  return "hybrid";
-}
-
-int Options::resolved_lookahead() const {
-  if (tune != TuneMode::Off)
-    return tune::decision_for(*this).lookahead_depth;
-  return lookahead_depth;
+  return engine.empty() ? "hybrid" : engine;
 }
 
 sched::SessionOptions session_options_from(const Options& opt) {
   return sched::SessionOptions{opt.resolved_threads(), opt.pin_threads};
 }
 
-Options with_tune_key(const Options& opt, int m, int n) {
-  if (opt.tune == TuneMode::Off || opt.tune_n != 0) return opt;
-  Options o = opt;
-  o.tune_n = std::min(m, n);
-  return o;
-}
+Options with_tune_key(const Options& opt, int, int) { return opt; }
 
 layout::OwnerRunner owner_runner_from(const Options&,
                                       sched::ThreadTeam& team) {
@@ -506,7 +468,7 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
                                std::unique_ptr<noise::Injector>& injector) {
   sched::RunHooks hooks;
   hooks.recorder = opt.recorder;
-  hooks.lookahead_depth = opt.resolved_lookahead();
+  hooks.lookahead_depth = opt.lookahead_depth;
   if (opt.noise.enabled()) {
     injector = std::make_unique<noise::Injector>(opt.noise, team_size);
     hooks.injector = injector.get();
@@ -550,13 +512,8 @@ struct GetrfJob::Impl {
   }
 };
 
-GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt_in) {
-  assert(a.tiling().b == opt_in.b);
-  // Tune key from the packed shape, so a job constructed directly (the
-  // batch layer, the service) resolves the same tuning decision as the
-  // Matrix-level drivers.  The tile size is already fixed by the
-  // caller's packing; only dratio/engine/lookahead can still be tuned.
-  const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
+GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt) {
+  assert(a.tiling().b == opt.b);
   const auto t0 = std::chrono::steady_clock::now();
   impl_ = std::make_unique<Impl>(a, opt);
   impl_->plan_seconds = seconds_since(t0);
@@ -635,6 +592,7 @@ const char* input_defect(const layout::Matrix* a, const layout::Matrix* rhs,
   if (rhs != nullptr && rhs->rows() != a->rows())
     return "rhs row count differs from the matrix's";
   if (opt.b < 1) return "tile size b < 1";
+  if (std::isnan(opt.dratio)) return "dratio is NaN";
   return nullptr;
 }
 
@@ -642,9 +600,8 @@ namespace {
 
 /// Runs a prepared job on `session` and finishes it in the requested
 /// form; every getrf-family driver ends here, so their Stats agree.
-Factorization run_job(layout::PackedMatrix& a, const Options& opt_in,
+Factorization run_job(layout::PackedMatrix& a, const Options& opt,
                       sched::Session& session, bool lapack_form) {
-  const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
   GetrfJob job(a, opt);
   std::unique_ptr<noise::Injector> injector;
   sched::RunHooks hooks = run_hooks_from(opt, session.threads(), injector);
@@ -686,14 +643,9 @@ layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
                                     place);
 }
 
-Factorization factor_packed(const layout::Matrix& a, const Options& opt_in,
+Factorization factor_packed(const layout::Matrix& a, const Options& opt,
                             sched::Session& session,
                             layout::PackedMatrix& packed, bool lapack_form) {
-  // The Matrix-level drivers own the packing, so they are the one place
-  // the tuned tile size can be applied: materialize it into `b` before
-  // the pack (GetrfJob's b-match contract then holds by construction).
-  Options opt = with_tune_key(opt_in, a.rows(), a.cols());
-  opt.b = opt.resolved_b();
   packed = pack_for_plan(a, opt, owner_runner_from(opt, session.team()));
   return run_job(packed, opt, session, lapack_form);
 }

@@ -29,16 +29,6 @@
 
 namespace calu::core {
 
-/// The d-ratio shortcuts of the Table-1 design space; the executor is
-/// chosen separately, by Options::engine.
-enum class Schedule {
-  Static,   // 100% static (dratio forced to 0)
-  Dynamic,  // 100% dynamic (dratio forced to 1)
-  Hybrid,   // static(dratio% dynamic) — the paper's contribution
-};
-
-const char* schedule_name(Schedule s);
-
 /// Element precision a factorization runs at.  Float32 runs the SAME task
 /// graph and engine on a float copy of the packed matrix (the engines are
 /// precision-agnostic — they only move task ids); it exists for the
@@ -81,20 +71,11 @@ inline constexpr double kWholeJobFlops = 11.2e6;
 /// engine agrees on a job's plan.
 PlanKind plan_kind(int m, int n);
 
-/// Autotuning policy for the {dratio, b, engine, lookahead_depth} knobs
-/// (ROADMAP item 5; src/tune/autotuner.h).  Off uses the fields as set.
-/// Auto resolves them through the process-wide tuner in the resolved_*()
-/// accessors: the first resolve of an (n, threads, kernel, topology) key
-/// in a process runs a model-seeded calibration, later ones reuse its
-/// decision.  Nothing is persisted, so each process calibrates anew.
-enum class TuneMode : std::uint8_t { Off, Auto };
-
-const char* tune_mode_name(TuneMode m);
-
 struct Options {
   int b = 100;                // tile size (the paper uses b = 100)
-  double dratio = 0.10;       // fraction of panels scheduled dynamically
-  Schedule schedule = Schedule::Hybrid;
+  /// Fraction of panels scheduled dynamically: 0 is fully static, 1
+  /// fully dynamic, and the paper's hybrid lies between.
+  double dratio = 0.10;
   // Storage of tiled shapes; whole-job shapes run column-major.
   layout::Layout layout = layout::Layout::BlockCyclic;
   int threads = 0;            // 0 = all hardware threads
@@ -109,8 +90,7 @@ struct Options {
   trace::Recorder* recorder = nullptr;  // optional timeline capture
   noise::NoiseSpec noise{};             // optional transient-load injection
   /// Engine name ("hybrid", "work-stealing" or "priority-lookahead";
-  /// sched::run_engine) — the only engine selector.  Empty = the tuned
-  /// engine under Auto, else "hybrid"; see resolved_engine().
+  /// sched::run_engine) — the only engine selector.  Empty = "hybrid".
   std::string engine;
   /// "priority-lookahead" window: panel-column tasks within this many
   /// panels of the completion frontier are promoted to the engine's
@@ -127,32 +107,17 @@ struct Options {
   /// Urgent-queue eligibility under the priority-lookahead engine; the
   /// async sched::Service maps its two request classes onto this.
   PriorityClass priority_class = PriorityClass::Interactive;
-  /// Autotuning of {dratio, b, engine, lookahead_depth}: Off uses the
-  /// fields above verbatim; Auto resolves them through the process's
-  /// autotuner (explicitly-set `engine` and Static/Dynamic `schedule`
-  /// still win — tuning never overrides an explicit ask).
-  TuneMode tune = TuneMode::Off;
-  /// Problem-size key for the tuner (min(m, n)).  The factorization
-  /// drivers stamp it from the matrix when left 0, so callers never set
-  /// it; pre-setting is only useful to calibrate a key up front.
-  int tune_n = 0;
 
   int resolved_threads() const;
   layout::Grid resolved_grid() const;
-  /// `dratio` clamped to [0, 1] (out-of-range values warn once per
-  /// process), with Schedule::Static/Dynamic pinning 0/1 and
-  /// TuneMode::Auto substituting the tuned fraction.
+  /// `dratio` clamped to [0, 1]; out-of-range values warn once per
+  /// process.  A NaN `dratio` throws std::invalid_argument.
   double resolved_dratio() const;
-  /// Tile size actually used by the Matrix-level drivers: `b`, or the
-  /// tuned tile size under Auto once tune_n is known.  The
-  /// PackedMatrix-level entry points keep the caller's packing (a packed
-  /// matrix's b cannot be re-chosen after the fact).
+  /// `b`.  No library code calls it; it stays for the benchmark's traced
+  /// replay (benchmark/calu_bench.cpp).
   int resolved_b() const;
-  /// The engine name actually used: `engine` when set, else the tuned
-  /// engine under Auto, else "hybrid".
+  /// The engine name actually used: `engine` when set, else "hybrid".
   std::string resolved_engine() const;
-  /// `lookahead_depth`, or the tuned window under Auto.
-  int resolved_lookahead() const;
 };
 
 struct Stats {
@@ -262,7 +227,8 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt);
 
 /// Convenience: packs `a` (pack_for_plan), factors, and unpacks the
 /// combined L and U factors back into `a` (column-major, LAPACK getrf
-/// layout).  opt.b < 1 throws std::invalid_argument (input_defect).
+/// layout).  A request input_defect rejects throws
+/// std::invalid_argument.
 Factorization getrf(layout::Matrix& a, const Options& opt);
 
 /// Session variant of the column-major convenience driver.
@@ -273,10 +239,11 @@ Factorization getrf(layout::Matrix& a, const Options& opt,
 /// on `a` (with right-hand side `rhs`, or none for a factor-only
 /// request) cannot run, or nullptr when it can.  Rejected: a null `a`;
 /// for a solve, an `a` that is not square or an rhs whose row count
-/// differs from a's; opt.b < 1.  getrf checks it with rhs = nullptr,
-/// gesv / gesv_mixed / batched_run per request, and sched::Service in
-/// submit(), so a malformed request throws on the caller before any
-/// work instead of failing inside a team or the dispatcher.
+/// differs from a's; opt.b < 1; a NaN opt.dratio.  getrf checks it with
+/// rhs = nullptr, gesv / gesv_mixed / batched_run per request, and
+/// sched::Service in submit(), so a malformed request throws on the
+/// caller before any work instead of failing inside a team or the
+/// dispatcher.
 const char* input_defect(const layout::Matrix* a, const layout::Matrix* rhs,
                          const Options& opt);
 
@@ -288,8 +255,7 @@ layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
                                    const layout::OwnerRunner& place = {});
 
 /// The Matrix-level factor step getrf(Matrix&) and the solve drivers
-/// share: resolves `opt` as getrf does (tune key, resolved_b), packs `a`
-/// into `packed` (pack_for_plan; a tiled shape through the owner-ordered
+/// share: packs `a` into `packed` (pack_for_plan; a tiled shape through the owner-ordered
 /// parallel pack) and factors it on `session`.  `lapack_form` applies the
 /// deferred left swaps, as getrf returns them; without them the factors
 /// stay in the deferred form the solve substitutes on
@@ -298,12 +264,8 @@ Factorization factor_packed(const layout::Matrix& a, const Options& opt,
                             sched::Session& session,
                             layout::PackedMatrix& packed, bool lapack_form);
 
-/// `opt` with the tuner's problem-size key stamped from the matrix shape
-/// (min(m, n)) when tuning is on and the caller left tune_n at 0 — the
-/// single helper every driver (CALU, Cholesky, the batch layer) runs its
-/// Options through before consulting the resolved_*() accessors, so one
-/// factorization's dratio, b, engine, and lookahead all come from the
-/// same tuning decision.
+/// `opt` unchanged.  No library code calls it; it stays for the
+/// benchmark's traced replay (benchmark/calu_bench.cpp).
 Options with_tune_key(const Options& opt, int m, int n);
 
 /// Engine RunHooks from Options — the single source for the Options →

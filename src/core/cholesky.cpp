@@ -162,8 +162,7 @@ struct PotrfJob::Impl {
 };
 
 PotrfJob::PotrfJob(layout::PackedMatrix& a, const Options& opt)
-    : impl_(std::make_unique<Impl>(
-          a, with_tune_key(opt, a.tiling().m, a.tiling().n))) {}
+    : impl_(std::make_unique<Impl>(a, opt)) {}
 
 PotrfJob::~PotrfJob() = default;
 PotrfJob::PotrfJob(PotrfJob&&) noexcept = default;
@@ -185,9 +184,8 @@ Factorization PotrfJob::finish() {
   return f;
 }
 
-Factorization potrf(layout::PackedMatrix& a, const Options& opt_in,
+Factorization potrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session) {
-  const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
   PotrfJob job(a, opt);
   std::unique_ptr<noise::Injector> injector;
   sched::RunHooks hooks = run_hooks_from(opt, session.threads(), injector);
@@ -215,10 +213,8 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt) {
   return potrf(a, opt, ephemeral);
 }
 
-Factorization potrf(layout::Matrix& a, const Options& opt_in,
+Factorization potrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session) {
-  Options opt = with_tune_key(opt_in, a.rows(), a.cols());
-  opt.b = opt.resolved_b();
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
                                  owner_runner_from(opt, session.team()));

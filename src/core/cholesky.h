@@ -50,8 +50,8 @@ class PotrfJob {
 
 /// Factor the SPD matrix (lower triangle referenced) in place on a
 /// caller-provided session: A = L*L^T.  Reuses calu::core::Options (b,
-/// schedule, dratio, layout, engine, noise, recorder); pivot-related
-/// fields are ignored and ipiv is empty.
+/// dratio, layout, engine, noise, recorder); pivot-related fields are
+/// ignored and ipiv is empty.
 Factorization potrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session);
 

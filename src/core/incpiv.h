@@ -51,7 +51,7 @@ class IncpivFactor {
 /// pivoting (square matrices) on a caller-provided session.  The
 /// PackedMatrix stays owned by the caller and must outlive the returned
 /// factor.  Honors Options::engine / lookahead_depth / recorder / noise
-/// (the DAG is all-dynamic, so schedule/dratio have no effect).
+/// (the DAG is all-dynamic, so dratio has no effect).
 IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
                           sched::Session& session);
 

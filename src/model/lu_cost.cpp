@@ -11,16 +11,4 @@ double lu_flops(double m, double n) {
   return 2.0 * (m * n * k - (m + n) * k * k / 2.0 + k * k * k / 3.0);
 }
 
-double calu_critical_path_flops(int mb, int nb, int b) {
-  const int k = std::min(mb, nb);
-  double f = 0.0;
-  for (int s = 0; s < k; ++s) {
-    const double rows = static_cast<double>(mb - s) * b;
-    f += lu_flops(rows, b);              // panel factorization (TSLU)
-    f += static_cast<double>(b) * b * b; // one U trsm tile
-    f += gemm_flops(b, b, b);            // one S gemm tile
-  }
-  return f;
-}
-
 }  // namespace calu::model

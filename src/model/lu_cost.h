@@ -1,6 +1,6 @@
-// lu_cost.h — flop counts and critical-path estimates for dense LU, used to
-// turn measured times into Gflop/s (the y-axis of every performance figure)
-// and to instantiate the Theorem-1 model with algorithmic quantities.
+// lu_cost.h — flop counts for dense LU, used to turn measured times into
+// Gflop/s (the y-axis of every performance figure) and to instantiate the
+// Theorem-1 model with algorithmic quantities.
 #pragma once
 
 namespace calu::model {
@@ -15,11 +15,6 @@ double lu_flops(double m, double n);
 inline double gemm_flops(double m, double n, double k) {
   return 2.0 * m * n * k;
 }
-
-/// Leading-order flop count on the critical path of tiled CALU with tile
-/// size b on an (mb x nb)-tile matrix: one panel factorization + one U +
-/// one S per step (the red path of Figure 3).
-double calu_critical_path_flops(int mb, int nb, int b);
 
 /// Gflop/s helper.
 inline double gflops(double flops, double seconds) {

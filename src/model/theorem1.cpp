@@ -21,8 +21,8 @@ double static_time(const ModelParams& m, double fs) {
   // at fs·Tp + δmax while the others drain the (1−fs) dynamic remainder,
   // which cannot complete before the perfectly-rebalanced floor — so the
   // schedule's completion time is the max of the two.  (Without the
-  // floor, fs → 0 would report a schedule faster than ideal, and a tuner
-  // ranking candidates by this function would chase that mirage.)
+  // floor, fs → 0 would report a schedule faster than ideal, and any
+  // ranking of static fractions by this function would chase it.)
   return std::max(fs * parallel_time(m) + m.delta_max, ideal_time(m));
 }
 

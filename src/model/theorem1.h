@@ -39,8 +39,7 @@ double ideal_time(const ModelParams& m);
 /// max(fs*Tp + δmax, ideal_time) — the tactual of the proof, floored by
 /// the perfectly-rebalanced time the dynamic remainder cannot beat.
 /// Consequently static_time(m, fs) >= ideal_time(m) for every fs in
-/// [0, 1], with equality exactly on fs <= max_static_fraction(m) — the
-/// invariant the autotuner's candidate ranking relies on.
+/// [0, 1], with equality exactly on fs <= max_static_fraction(m).
 double static_time(const ModelParams& m, double fs);
 
 /// Theorem 1 (with extensions): the largest static fraction attaining

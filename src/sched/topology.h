@@ -8,8 +8,8 @@
 // Consumers:
 //   * `ThreadTeam` pins threads in `pin_order()` (hierarchical,
 //     physical-cores-first) restricted to the process affinity mask.
-//   * The benches and the autotuner's key stamp `summary()`, so numbers
-//     say what machine shape produced them.
+//   * The benches stamp `summary()`, so numbers say what machine shape
+//     produced them.
 //
 // Probing is fixture-friendly: every parser takes a root directory, so
 // tests feed synthetic sysfs trees (single-socket SMT, dual-socket,

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -521,6 +522,10 @@ TEST(BatchedRun, MalformedJobsAreRejectedBeforeAnyWork) {
        }},
       {"rhs row mismatch", [&](core::BatchJob& j) { j.rhs = &rhs40; }},
       {"tile size 0", [](core::BatchJob& j) { j.options.b = 0; }},
+      {"NaN dratio",
+       [](core::BatchJob& j) {
+         j.options.dratio = std::numeric_limits<double>::quiet_NaN();
+       }},
   };
   for (core::BatchMode mode :
        {core::BatchMode::Fused, core::BatchMode::Sequential})

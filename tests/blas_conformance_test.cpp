@@ -102,14 +102,21 @@ void check_case(Trans ta, Trans tb, int m, int n, int k, double alpha,
 
 class KernelConformance : public test::KernelVariantTest {};
 
-TEST_P(KernelConformance, RaggedAndStripBoundarySweep) {
-  const blas::MicroKernel& mk = blas::active_kernel();
+/// Sizes 1..9 plus mr±1 and nr±1: every ragged edge and strip boundary of
+/// an mr x nr register tile.
+std::vector<int> ragged_sizes(int mr, int nr) {
   std::vector<int> sizes;
   for (int v = 1; v <= 9; ++v) sizes.push_back(v);
-  for (int v : {mk.mr - 1, mk.mr, mk.mr + 1, mk.nr - 1, mk.nr, mk.nr + 1})
+  for (int v : {mr - 1, mr, mr + 1, nr - 1, nr, nr + 1})
     if (v >= 1) sizes.push_back(v);
   std::sort(sizes.begin(), sizes.end());
   sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  return sizes;
+}
+
+TEST_P(KernelConformance, RaggedAndStripBoundarySweep) {
+  const blas::MicroKernel& mk = blas::active_kernel();
+  const std::vector<int> sizes = ragged_sizes(mk.mr, mk.nr);
 
   std::uint64_t seed = 100;
   for (const TransCase& tc : kTrans)
@@ -363,26 +370,6 @@ void check_case_f(Trans ta, Trans tb, int m, int n, int k, float alpha,
   check(c, "gemm_packed");
 }
 
-TEST_P(KernelConformance, FloatRaggedAndStripBoundarySweep) {
-  const blas::MicroKernelT<float>& mk = blas::active_kernel_t<float>();
-  std::vector<int> sizes;
-  for (int v = 1; v <= 9; ++v) sizes.push_back(v);
-  for (int v : {mk.mr - 1, mk.mr, mk.mr + 1, mk.nr - 1, mk.nr, mk.nr + 1})
-    if (v >= 1) sizes.push_back(v);
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-
-  std::uint64_t seed = 700;
-  for (const TransCase& tc : kTrans)
-    for (int m : sizes)
-      for (int n : sizes)
-        for (int k : sizes)
-          for (double alpha : kScalars)
-            for (double beta : kScalars)
-              check_case_f(tc.ta, tc.tb, m, n, k, static_cast<float>(alpha),
-                           static_cast<float>(beta), ++seed);
-}
-
 TEST_P(KernelConformance, FloatCacheBlockBoundaries) {
   const blas::MicroKernelT<float>& mk = blas::active_kernel_t<float>();
   std::uint64_t seed = 19000;
@@ -446,6 +433,42 @@ TEST_P(KernelConformance, FloatTrsmAllCasesBoundarySweep) {
                   << nrhs << " kernel=" << blas::active_kernel().name
                   << " (float)";
             }
+}
+
+/// The float ragged sweep for the transpose case kTrans[t].  Each case is
+/// its own test, so the sanitized lane's shards can split the sweep (the
+/// float mr of 48 makes it the largest in the file).  Case t's seeds
+/// continue where case t - 1's stop, so the three tests check exactly
+/// what one loop over kTrans would.  gtest deals tests to shards
+/// round-robin in definition order; here, after the float trsm sweep,
+/// the three avx512 instances land on three different shards.
+void float_ragged_sweep(int t) {
+  const blas::MicroKernelT<float>& mk = blas::active_kernel_t<float>();
+  const std::vector<int> sizes = ragged_sizes(mk.mr, mk.nr);
+  const std::uint64_t per_case = sizes.size() * sizes.size() * sizes.size() *
+                                 std::size(kScalars) * std::size(kScalars);
+
+  std::uint64_t seed = 700 + t * per_case;
+  const TransCase& tc = kTrans[t];
+  for (int m : sizes)
+    for (int n : sizes)
+      for (int k : sizes)
+        for (double alpha : kScalars)
+          for (double beta : kScalars)
+            check_case_f(tc.ta, tc.tb, m, n, k, static_cast<float>(alpha),
+                         static_cast<float>(beta), ++seed);
+}
+
+TEST_P(KernelConformance, FloatRaggedAndStripBoundarySweepNN) {
+  float_ragged_sweep(0);
+}
+
+TEST_P(KernelConformance, FloatRaggedAndStripBoundarySweepNT) {
+  float_ragged_sweep(1);
+}
+
+TEST_P(KernelConformance, FloatRaggedAndStripBoundarySweepTN) {
+  float_ragged_sweep(2);
 }
 
 // ----------------------------------------------------------- panel_fma ---

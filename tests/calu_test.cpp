@@ -1,8 +1,10 @@
 // calu_test.cpp — end-to-end CALU factorization across the whole design
-// space (Table 1): schedule x layout x shape x threads x dratio.
+// space (Table 1): dratio x engine x layout x shape x threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -24,7 +26,6 @@ namespace {
 
 using core::Factorization;
 using core::Options;
-using core::Schedule;
 using layout::Layout;
 using layout::Matrix;
 
@@ -45,7 +46,6 @@ double factor_and_residual(int m, int n, const Options& opt,
 // ------------------------------------------------------------ the sweep ---
 
 struct CaluCase {
-  Schedule sched;
   Layout layout;
   int m, n, b, threads;
   double dratio;
@@ -54,7 +54,7 @@ struct CaluCase {
 
 std::string case_name(const ::testing::TestParamInfo<CaluCase>& info) {
   const CaluCase& c = info.param;
-  std::string s = *c.engine ? c.engine : core::schedule_name(c.sched);
+  std::string s = *c.engine ? c.engine : "hybrid";
   s += std::string("_") + layout::layout_name(c.layout) + "_m" +
        std::to_string(c.m) + "n" + std::to_string(c.n) + "b" +
        std::to_string(c.b) + "t" + std::to_string(c.threads) + "d" +
@@ -69,7 +69,6 @@ class CaluSweep : public ::testing::TestWithParam<CaluCase> {};
 TEST_P(CaluSweep, ResidualBounded) {
   const CaluCase& c = GetParam();
   Options opt;
-  opt.schedule = c.sched;
   opt.engine = c.engine;
   opt.layout = c.layout;
   opt.b = c.b;
@@ -88,12 +87,10 @@ TEST_P(CaluSweep, ResidualBounded) {
 
 std::vector<CaluCase> sweep_cases() {
   std::vector<CaluCase> cases;
-  // The three d-ratio shortcuts, plus the work-stealing engine at d = 0.2.
-  const std::vector<std::pair<Schedule, const char*>> scheds = {
-      {Schedule::Static, ""},
-      {Schedule::Dynamic, ""},
-      {Schedule::Hybrid, ""},
-      {Schedule::Hybrid, "work-stealing"}};
+  // Fully static, fully dynamic and hybrid at d = 0.2, plus the
+  // work-stealing engine at d = 0.2.
+  const std::vector<std::pair<double, const char*>> scheds = {
+      {0.0, ""}, {1.0, ""}, {0.2, ""}, {0.2, "work-stealing"}};
   const std::vector<Layout> layouts = {Layout::BlockCyclic,
                                        Layout::TwoLevelBlock,
                                        Layout::ColumnMajor};
@@ -104,17 +101,15 @@ std::vector<CaluCase> sweep_cases() {
       {288, 288, 288},                    // single panel
       {299, 299, 75},                     // everything partial
   };
-  for (auto [s, engine] : scheds)
+  for (auto [d, engine] : scheds)
     for (Layout l : layouts)
       for (auto [m, n, b] : shapes)
-        cases.push_back({s, l, m, n, b, 4, 0.2, engine});
+        cases.push_back({l, m, n, b, 4, d, engine});
   // Thread-count and dratio variations on one shape.
   for (int t : {1, 2, 3, 8})
-    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, 384, 384, 48, t,
-                     0.25});
+    cases.push_back({Layout::BlockCyclic, 384, 384, 48, t, 0.25});
   for (double d : {0.0, 0.1, 0.5, 0.75, 1.0})
-    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 360, 360, 48,
-                     4, d});
+    cases.push_back({Layout::TwoLevelBlock, 360, 360, 48, 4, d});
   return cases;
 }
 
@@ -136,11 +131,10 @@ TEST(CaluDeterminism, SchedulesProduceIdenticalFactors) {
   Factorization fs, fd, fh, fw;
   Matrix ls, ld, lh, lw;
   Options o = base;
-  o.schedule = Schedule::Static;
+  o.dratio = 0.0;
   factor_and_residual(n, n, o, 55, &fs, &ls);
-  o.schedule = Schedule::Dynamic;
+  o.dratio = 1.0;
   factor_and_residual(n, n, o, 55, &fd, &ld);
-  o.schedule = Schedule::Hybrid;
   o.dratio = 0.3;
   factor_and_residual(n, n, o, 55, &fh, &lh);
   o.engine = "work-stealing";
@@ -161,7 +155,6 @@ TEST(CaluDeterminism, LayoutsProduceIdenticalFactors) {
   base.b = b;
   base.threads = 4;
   base.pin_threads = false;
-  base.schedule = Schedule::Hybrid;
 
   Factorization f1, f2, f3;
   Matrix l1, l2, l3;
@@ -354,13 +347,27 @@ TEST(CaluPlan, ResolvedDratioClampsBothEdges) {
   EXPECT_DOUBLE_EQ(edge.resolved_dratio(), 1.0);
   edge.dratio = 0.0;
   EXPECT_DOUBLE_EQ(edge.resolved_dratio(), 0.0);
-  // Schedule overrides still win over any stored ratio.
-  Options forced;
-  forced.dratio = 1.5;
-  forced.schedule = Schedule::Static;
-  EXPECT_DOUBLE_EQ(forced.resolved_dratio(), 0.0);
-  forced.schedule = Schedule::Dynamic;
-  EXPECT_DOUBLE_EQ(forced.resolved_dratio(), 1.0);
+  // NaN fails both range tests, so std::clamp would pass it through.
+  Options nan;
+  nan.dratio = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(nan.resolved_dratio(), std::invalid_argument);
+}
+
+TEST(CaluPlan, NanDratioThrowsOnCallerPackedTiledShape) {
+  // A caller-packed matrix skips input_defect, so the plan's resolver is
+  // the check: a NaN ratio must throw on the caller before any task runs,
+  // not reach build_plan's floor(npanels * NaN).
+  const int n = 288;
+  ASSERT_EQ(core::plan_kind(n, n), core::PlanKind::Tiled);
+  Options o;
+  o.b = 48;
+  o.threads = 2;
+  o.pin_threads = false;
+  o.dratio = std::numeric_limits<double>::quiet_NaN();
+  const Matrix a = Matrix::random(n, n, 57);
+  layout::PackedMatrix p = layout::PackedMatrix::pack(
+      a, Layout::BlockCyclic, o.b, o.resolved_grid());
+  EXPECT_THROW(core::getrf(p, o), std::invalid_argument);
 }
 
 TEST(CaluPlan, OwnersMatchSplit) {

@@ -14,7 +14,6 @@ namespace calu {
 namespace {
 
 using core::Options;
-using core::Schedule;
 using layout::Layout;
 using layout::Matrix;
 
@@ -90,7 +89,6 @@ TEST(PotrfKernel, RejectsIndefinite) {
 // --------------------------------------------------- tiled, scheduled ---
 
 struct CholCase {
-  Schedule sched;
   Layout layout;
   int n, b, threads;
   double dratio;
@@ -106,7 +104,6 @@ TEST_P(CholSweep, ResidualBounded) {
   Options opt;
   opt.b = c.b;
   opt.threads = c.threads;
-  opt.schedule = c.sched;
   opt.dratio = c.dratio;
   opt.layout = c.layout;
   opt.engine = c.engine;
@@ -118,25 +115,21 @@ TEST_P(CholSweep, ResidualBounded) {
 
 std::vector<CholCase> chol_cases() {
   std::vector<CholCase> cases;
-  // The three d-ratio shortcuts, plus the work-stealing engine at d = 0.2.
-  const std::pair<Schedule, const char*> scheds[] = {
-      {Schedule::Static, ""},
-      {Schedule::Dynamic, ""},
-      {Schedule::Hybrid, ""},
-      {Schedule::Hybrid, "work-stealing"}};
-  for (auto [s, engine] : scheds)
+  // Fully static, fully dynamic and hybrid at d = 0.2, plus the
+  // work-stealing engine at d = 0.2.
+  const std::pair<double, const char*> scheds[] = {
+      {0.0, ""}, {1.0, ""}, {0.2, ""}, {0.2, "work-stealing"}};
+  for (auto [d, engine] : scheds)
     for (Layout l : {Layout::BlockCyclic, Layout::TwoLevelBlock,
                      Layout::ColumnMajor})
-      cases.push_back({s, l, 96, 16, 4, 0.2, engine});
+      cases.push_back({l, 96, 16, 4, d, engine});
   for (int n : {17, 37, 64, 130})
-    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, n, 16, 4, 0.25});
+    cases.push_back({Layout::BlockCyclic, n, 16, 4, 0.25});
   for (double d : {0.0, 0.5, 1.0})
-    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 16, 8, d});
+    cases.push_back({Layout::TwoLevelBlock, 120, 16, 8, d});
   // Work stealing, fully dynamic and at a hybrid split.
-  cases.push_back({Schedule::Dynamic, Layout::BlockCyclic, 128, 16, 4, 1.0,
-                   "work-stealing"});
-  cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 128, 16, 8, 0.3,
-                   "work-stealing"});
+  cases.push_back({Layout::BlockCyclic, 128, 16, 4, 1.0, "work-stealing"});
+  cases.push_back({Layout::TwoLevelBlock, 128, 16, 8, 0.3, "work-stealing"});
   return cases;
 }
 
@@ -153,19 +146,18 @@ TEST(Cholesky, DeterministicAcrossSchedules) {
   Matrix l_static, l_dyn, l_ws;
   {
     Matrix a = a0;
-    o.schedule = Schedule::Static;
+    o.dratio = 0.0;
     core::potrf(a, o);
     l_static = a;
   }
   {
     Matrix a = a0;
-    o.schedule = Schedule::Dynamic;
+    o.dratio = 1.0;
     core::potrf(a, o);
     l_dyn = a;
   }
   {
     Matrix a = a0;
-    o.schedule = Schedule::Dynamic;
     o.engine = "work-stealing";
     core::potrf(a, o);
     l_ws = a;

@@ -14,7 +14,6 @@ namespace calu {
 namespace {
 
 using core::Options;
-using core::Schedule;
 using layout::Layout;
 using layout::Matrix;
 using layout::PackedMatrix;
@@ -127,7 +126,10 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
   o.pin_threads = false;
   const std::vector<std::string> engines = sched::engine_names();
   o.engine = engines[rng() % engines.size()];
-  o.schedule = static_cast<core::Schedule>(rng() % 3);
+  switch (rng() % 3) {  // fully static, fully dynamic or the drawn d
+    case 0: o.dratio = 0.0; break;
+    case 1: o.dratio = 1.0; break;
+  }
   o.layout = static_cast<Layout>(rng() % 3);
   Matrix a = Matrix::random(m, n, rng());
   Matrix a0 = a;
@@ -138,7 +140,6 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
   EXPECT_LT(res, 500.0) << "m=" << m << " n=" << n << " b=" << o.b
                         << " t=" << o.threads << " d=" << o.dratio
                         << " engine=" << o.engine
-                        << " sched=" << static_cast<int>(o.schedule)
                         << " lay=" << static_cast<int>(o.layout);
 }
 
@@ -196,7 +197,7 @@ TEST(Integration, FullyStaticHasNoDynamicPops) {
   o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
-  o.schedule = Schedule::Static;
+  o.dratio = 0.0;
   core::Factorization f = core::getrf(a, o);
   test::expect_tiled(f.stats);
   EXPECT_EQ(f.stats.engine.dynamic_pops, 0u);
@@ -209,7 +210,7 @@ TEST(Integration, FullyDynamicHasNoStaticPops) {
   o.b = 48;
   o.threads = 4;
   o.pin_threads = false;
-  o.schedule = Schedule::Dynamic;
+  o.dratio = 1.0;
   core::Factorization f = core::getrf(a, o);
   test::expect_tiled(f.stats);
   EXPECT_EQ(f.stats.engine.static_pops, 0u);

@@ -60,10 +60,9 @@ TEST(Theorem1, AtTheBoundStaticTimeEqualsIdealTime) {
   const double fs = model::max_static_fraction(m);
   EXPECT_NEAR(model::static_time(m, fs), model::ideal_time(m), 1e-9);
   // Below the bound the dynamic remainder rebalances everything: the
-  // schedule still attains ideal time exactly (never beats it — the
-  // pre-autotuner static_time lacked this floor and reported fs -> 0
-  // schedules as faster than perfectly balanced, which a candidate
-  // ranking would have chased).
+  // schedule still attains ideal time exactly, and never beats it
+  // (without the floor, fs -> 0 schedules would read faster than
+  // perfectly balanced).
   EXPECT_DOUBLE_EQ(model::static_time(m, fs * 0.9), model::ideal_time(m));
   EXPECT_DOUBLE_EQ(model::static_time(m, 0.0), model::ideal_time(m));
   // Above it, the δmax-burdened core is the bottleneck and time rises.
@@ -100,11 +99,10 @@ TEST(Theorem1, OverheadTermsIncreaseTpAndStaticFraction) {
             model::max_static_fraction(base));
 }
 
-// ------------------------------------------- autotuner-facing invariants ---
-// The tuner (src/tune/autotuner.cpp) seeds its candidate grid from these
-// functions; the properties below are exactly what its candidate ranking
-// assumes, swept over a seeded randomized parameter grid so a model edit
-// that holds on hand-picked points but not in general still fails here.
+// ------------------------------------------------- model invariants ---
+// Properties any ranking of static fractions by these functions relies
+// on, swept over a seeded randomized parameter grid so a model edit that
+// holds on hand-picked points but not in general still fails here.
 
 // Deterministic xorshift64* grid — seeded, so failures reproduce exactly.
 class SeededGrid {
@@ -244,14 +242,6 @@ TEST(LuCost, RectangularReducesToFormula) {
 TEST(LuCost, GflopsHelper) {
   EXPECT_DOUBLE_EQ(model::gflops(2e9, 1.0), 2.0);
   EXPECT_DOUBLE_EQ(model::gflops(1e9, 0.0), 0.0);
-}
-
-TEST(LuCost, CriticalPathSmallerThanTotal) {
-  const int mb = 20, nb = 20, b = 100;
-  const double cp = model::calu_critical_path_flops(mb, nb, b);
-  const double total = model::lu_flops(mb * b, nb * b);
-  EXPECT_GT(cp, 0.0);
-  EXPECT_LT(cp, total);
 }
 
 }  // namespace

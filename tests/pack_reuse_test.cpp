@@ -153,19 +153,17 @@ TEST(PackReuse, AllSchedulesBitIdenticalWithPacking) {
   Matrix ref_lu;
   Factorization ref = factor(320, 320, o, 123, &ref_lu);
   test::expect_tiled(ref.stats);
-  const std::pair<core::Schedule, const char*> cases[] = {
-      {core::Schedule::Static, "hybrid"},
-      {core::Schedule::Dynamic, "hybrid"},
-      {core::Schedule::Hybrid, "work-stealing"}};
-  for (auto [s, engine] : cases) {
+  const std::pair<double, const char*> cases[] = {
+      {0.0, "hybrid"}, {1.0, "hybrid"}, {o.dratio, "work-stealing"}};
+  for (auto [d, engine] : cases) {
     Options os = o;
-    os.schedule = s;
+    os.dratio = d;
     os.engine = engine;
     Matrix lu;
     Factorization f = factor(320, 320, os, 123, &lu);
-    EXPECT_EQ(ref.ipiv, f.ipiv) << core::schedule_name(s) << " " << engine;
+    EXPECT_EQ(ref.ipiv, f.ipiv) << "d=" << d << " " << engine;
     EXPECT_EQ(test::max_abs_diff(ref_lu, lu), 0.0)
-        << core::schedule_name(s) << " " << engine;
+        << "d=" << d << " " << engine;
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -315,19 +316,23 @@ TEST(Service, CallbackExactlyOnce) {
 
 TEST(Service, MalformedRequestThrowsOnTheClientAndTheServiceLivesOn) {
   // A tile size of 0 or a null matrix used to reach the dispatcher and end
-  // the process from there.  submit() now rejects both on the client,
-  // before admission: nothing is counted, no future exists, and the
-  // callback never fires.  A valid request submitted next completes.
+  // the process from there, and a NaN dratio aborts a tiled plan's build
+  // there in a debug build.  submit() now rejects all three on the
+  // client, before admission: nothing is counted, no future exists, and
+  // the callback never fires.  A valid request submitted next completes.
   Matrix a = Matrix::random(48, 48, 7700);
   const Matrix b = Matrix::random(48, 1, 7701);
   std::atomic<int> fired{0};
   auto count = [&fired](const ServiceResponse&) { fired.fetch_add(1); };
   Options zero_b = request_options();
   zero_b.b = 0;
+  Options nan_dratio = request_options();
+  nan_dratio.dratio = std::numeric_limits<double>::quiet_NaN();
 
   Service svc(small_service());
   const ServiceRequest bad[] = {{&a, &b, zero_b, count},
-                                {nullptr, &b, request_options(), count}};
+                                {nullptr, &b, request_options(), count},
+                                {&a, &b, nan_dratio, count}};
   for (const ServiceRequest& req : bad)
     EXPECT_THROW(svc.submit(req), std::invalid_argument);
   for (PriorityClass cls : {PriorityClass::Interactive, PriorityClass::Batch}) {

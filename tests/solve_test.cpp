@@ -285,8 +285,8 @@ TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
                 {288, 48, core::PlanKind::Tiled},
                 {300, 96, core::PlanKind::Tiled},
                 {257, 32, core::PlanKind::Tiled}};
-  const core::Schedule schedules[] = {
-      core::Schedule::Static, core::Schedule::Dynamic, core::Schedule::Hybrid};
+  // Fully static, fully dynamic and the default hybrid split.
+  const double dratios[] = {0.0, 1.0, small_opts().dratio};
   int seed = 312;
   for (const auto& shape : shapes)
     for (layout::Layout l : {layout::Layout::BlockCyclic,
@@ -294,12 +294,12 @@ TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
                              layout::Layout::ColumnMajor})
       for (int threads : {1, 2, 4})
         for (int nrhs : {1, 3}) {
-          const core::Schedule s = schedules[seed % 3];
+          const double d = dratios[seed % 3];
           SCOPED_TRACE("n=" + std::to_string(shape.n) + " b=" +
                        std::to_string(shape.b) + " " +
                        layout::layout_name(l) + " threads=" +
                        std::to_string(threads) + " nrhs=" +
-                       std::to_string(nrhs) + " " + core::schedule_name(s));
+                       std::to_string(nrhs) + " d=" + std::to_string(d));
           const Matrix a = Matrix::random(shape.n, shape.n, ++seed);
           const Matrix b = Matrix::random(shape.n, nrhs, ++seed);
           const Matrix a0 = a, b0 = b;
@@ -307,7 +307,7 @@ TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
           o.b = shape.b;
           o.threads = threads;
           o.layout = l;
-          o.schedule = s;
+          o.dratio = d;
           const double bound =
               100.0 * shape.n * std::numeric_limits<double>::epsilon();
 
@@ -335,6 +335,8 @@ TEST(Gesv, MalformedInputsThrowAndLeaveInputsUntouched) {
   zero_b.b = 0;
   Options negative_b = small_opts();
   negative_b.b = -4;
+  Options nan_dratio = small_opts();
+  nan_dratio.dratio = std::numeric_limits<double>::quiet_NaN();
   const struct {
     const char* what;
     const Matrix& a;
@@ -343,7 +345,8 @@ TEST(Gesv, MalformedInputsThrowAndLeaveInputsUntouched) {
   } cases[] = {{"non-square", tall, rhs48, small_opts()},
                {"rhs row mismatch", square, rhs40, small_opts()},
                {"b = 0", square, rhs48, zero_b},
-               {"b < 0", square, rhs48, negative_b}};
+               {"b < 0", square, rhs48, negative_b},
+               {"NaN dratio", square, rhs48, nan_dratio}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.what);
     const Matrix a0 = c.a, b0 = c.b;
@@ -360,10 +363,11 @@ TEST(Gesv, MalformedInputsThrowAndLeaveInputsUntouched) {
   EXPECT_THROW(core::getrs(lu, f.ipiv, short_rhs), std::invalid_argument);
   EXPECT_TRUE(same_bits(short_rhs, rhs40));
 
-  // getrf(Matrix&) checks only the tile size: a non-square matrix is a
+  // getrf(Matrix&) checks only the Options: a non-square matrix is a
   // valid factorization.
   Matrix a = tall;
   EXPECT_THROW(core::getrf(a, zero_b), std::invalid_argument);
+  EXPECT_THROW(core::getrf(a, nan_dratio), std::invalid_argument);
   EXPECT_TRUE(same_bits(a, tall));
   EXPECT_EQ(core::getrf(a, small_opts()).ipiv.size(), 40u);
 }
