@@ -143,9 +143,10 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
 
   const std::size_t n = jobs.size();
   sched::ThreadTeam& team = session.team();
-  // Sized up front: GetrfJob keeps a reference to its PackedMatrix
-  // element.
+  // Sized up front: GetrfJob keeps a reference to its packed matrix.  A
+  // Float32 job packs into float storage, where its factors stay.
   std::vector<layout::PackedMatrix> packed(n);
+  std::vector<layout::PackedMatrixT<float>> packed32(n);
   std::vector<std::optional<GetrfJob>> prepared(n);
   std::vector<char> whole(n), rejected(n, 0);
   std::vector<std::size_t> tiled;
@@ -160,8 +161,14 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // that prepares it, so there is no owner runner (it would re-enter the
   // team).
   auto prepare = [&](std::size_t i) {
-    packed[i] = pack_for_plan(*jobs[i].a, jobs[i].options);
-    prepared[i].emplace(packed[i], jobs[i].options);
+    const Options& o = jobs[i].options;
+    if (o.precision == Precision::Float32) {
+      packed32[i] = pack_for_plan<float>(*jobs[i].a, o);
+      prepared[i].emplace(packed32[i], o);
+    } else {
+      packed[i] = pack_for_plan(*jobs[i].a, o);
+      prepared[i].emplace(packed[i], o);
+    }
   };
   // A job's epilogue: unpack a factor-only job's LAPACK-form factors;
   // finish a solve job in the deferred form and run the same
@@ -172,17 +179,22 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // re-solve runs on the session.
   auto complete = [&](std::size_t i) {
     const BatchJob& job = jobs[i];
+    const bool f32 = job.options.precision == Precision::Float32;
     if (job.rhs == nullptr) {
       // A tiled job's finish() ran on the caller; a whole-job plan's
       // factors are LAPACK-form already.
       if (whole[i]) res.jobs[i].factorization = prepared[i]->finish_deferred();
-      packed[i].unpack(*job.a);
+      if (f32)
+        packed32[i].unpack(*job.a);
+      else
+        packed[i].unpack(*job.a);
       return;
     }
     SolveResult sr;
     sr.factorization = prepared[i]->finish_deferred();
-    if (job.options.precision == Precision::Float32)
-      rejected[i] = !refine_float(*job.a, *job.rhs, packed[i], job.options, sr);
+    if (f32)
+      rejected[i] =
+          !refine_float(*job.a, *job.rhs, packed32[i], job.options, sr);
     else
       solve_factored(*job.a, *job.rhs, packed[i], job.options.max_refine, sr);
     take(res.jobs[i], std::move(sr));

@@ -49,8 +49,9 @@ namespace calu::core {
 ///
 /// Options are per job (tile size, grid, layout, pack_panels, dratio,
 /// max_refine, precision ... may all differ — a fused run can interleave
-/// float32 and double factorizations; Float32 rhs jobs additionally get
-/// the full gesv_mixed refine-and-fallback epilogue), with one
+/// float32 and double factorizations; a Float32 job is packed into float
+/// storage, where its factors stay, and a Float32 rhs job additionally
+/// gets the full gesv_mixed refine-and-fallback epilogue), with one
 /// constraint in fused mode:
 /// every job must resolve to the same engine, because a single engine
 /// executes the fused graph (batched_run throws std::invalid_argument

@@ -2,10 +2,9 @@
 // dispatch, and the user-facing getrf drivers.
 //
 // The task bodies (Runtime) are templated over the element type: a
-// Float32 job runs the identical plan on a converted float copy of the
-// packed matrix.  The engines never see the difference — they only move
-// task ids — which keeps every scheduler precision-agnostic by
-// construction.
+// Float32 job runs the identical plan on float storage.  The engines
+// never see the difference — they only move task ids — which keeps every
+// scheduler precision-agnostic by construction.
 #include "src/core/calu.h"
 
 #include <algorithm>
@@ -483,41 +482,47 @@ PlanKind plan_kind(int m, int n) {
 
 struct GetrfJob::Impl {
   CaluPlan plan;
-  Precision precision;
-  // Double jobs run directly on the caller's matrix.  Float32 jobs run on
-  // a same-geometry converted copy and write back in finish(); only one
-  // of the two runtimes exists.
-  layout::PackedMatrix* caller = nullptr;
-  layout::PackedMatrixT<float> a32;
+  // The double-storage Float32 adapter's float copy, and the caller's
+  // matrix it writes back into.
+  layout::PackedMatrixT<float> copy32;
+  layout::PackedMatrix* write_back = nullptr;
+  // Only one of the two runtimes exists.
   std::unique_ptr<Runtime<double>> rt64;
   std::unique_ptr<Runtime<float>> rt32;
   double plan_seconds = 0.0;
   double flops = 0.0;
 
-  Impl(layout::PackedMatrix& a, const Options& opt)
+  template <class T>
+  Impl(const layout::PackedMatrixT<T>& a, const Options& opt)
       : plan(plan_kind(a.tiling().m, a.tiling().n) == PlanKind::WholeJob
                  ? build_whole_job_plan(a.tiling(), a.grid())
                  : build_plan(a.tiling(), a.grid(), a.layout(),
                               opt.resolved_dratio(), opt.group_factor,
                               opt.pack_panels)),
-        precision(opt.precision) {
+        flops(model::lu_flops(a.tiling().m, a.tiling().n)) {
+    assert(a.tiling().b == opt.b);
     cede_promotion(plan.graph, opt.priority_class);
-    if (precision == Precision::Float32) {
-      caller = &a;
-      a32 = layout::PackedMatrixT<float>::convert_from(a);
-      rt32 = std::make_unique<Runtime<float>>(a32, plan);
-    } else {
-      rt64 = std::make_unique<Runtime<double>>(a, plan);
-    }
   }
 };
 
-GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt) {
-  assert(a.tiling().b == opt.b);
+GetrfJob::GetrfJob(layout::PackedMatrixT<float>& a, const Options& opt) {
   const auto t0 = std::chrono::steady_clock::now();
   impl_ = std::make_unique<Impl>(a, opt);
+  impl_->rt32 = std::make_unique<Runtime<float>>(a, impl_->plan);
   impl_->plan_seconds = seconds_since(t0);
-  impl_->flops = model::lu_flops(a.tiling().m, a.tiling().n);
+}
+
+GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt) {
+  const auto t0 = std::chrono::steady_clock::now();
+  impl_ = std::make_unique<Impl>(a, opt);
+  if (opt.precision == Precision::Float32) {
+    impl_->copy32 = layout::PackedMatrixT<float>::convert_from(a);
+    impl_->write_back = &a;
+    impl_->rt32 = std::make_unique<Runtime<float>>(impl_->copy32, impl_->plan);
+  } else {
+    impl_->rt64 = std::make_unique<Runtime<double>>(a, impl_->plan);
+  }
+  impl_->plan_seconds = seconds_since(t0);
 }
 
 GetrfJob::~GetrfJob() = default;
@@ -556,7 +561,8 @@ Factorization GetrfJob::finish_deferred() {
   };
   if (impl_->rt32) {
     fin(*impl_->rt32);
-    impl_->a32.convert_into(*impl_->caller);
+    if (impl_->write_back != nullptr)
+      impl_->copy32.convert_into(*impl_->write_back);
   } else {
     fin(*impl_->rt64);
   }
@@ -566,13 +572,13 @@ Factorization GetrfJob::finish_deferred() {
   f.stats.tasks = impl_->plan.graph.num_tasks();
   f.stats.npanels = impl_->plan.npanels;
   f.stats.nstatic_panels = impl_->plan.nstatic;
-  f.stats.precision = impl_->precision;
+  f.stats.precision = impl_->rt32 ? Precision::Float32 : Precision::Double;
   f.stats.kernel = blas::active_kernel().name;
   return f;
 }
 
 Factorization GetrfJob::finish(sched::ThreadTeam& team) {
-  // A Float32 job swaps its float factors before finish_deferred writes
+  // The adapter swaps its float factors before finish_deferred writes
   // them back: swaps commute with the exact float -> double conversion,
   // and this keeps one write-back.
   if (!impl_->plan.whole_job) {
@@ -600,7 +606,8 @@ namespace {
 
 /// Runs a prepared job on `session` and finishes it in the requested
 /// form; every getrf-family driver ends here, so their Stats agree.
-Factorization run_job(layout::PackedMatrix& a, const Options& opt,
+template <class T>
+Factorization run_job(layout::PackedMatrixT<T>& a, const Options& opt,
                       sched::Session& session, bool lapack_form) {
   GetrfJob job(a, opt);
   std::unique_ptr<noise::Injector> injector;
@@ -622,6 +629,16 @@ Factorization run_job(layout::PackedMatrix& a, const Options& opt,
   return f;
 }
 
+/// getrf(Matrix&)'s body at storage precision T.
+template <class T>
+Factorization factor_in_place(layout::Matrix& a, const Options& opt,
+                              sched::Session& session) {
+  layout::PackedMatrixT<T> p;
+  Factorization f = factor_packed(a, opt, session, p, /*lapack_form=*/true);
+  p.unpack(a);
+  return f;
+}
+
 }  // namespace
 
 Factorization getrf(layout::PackedMatrix& a, const Options& opt,
@@ -634,30 +651,46 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt) {
   return getrf(a, opt, ephemeral);
 }
 
-layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
-                                   const layout::OwnerRunner& place) {
+template <class T>
+layout::PackedMatrixT<T> pack_for_plan(const layout::Matrix& a,
+                                       const Options& opt,
+                                       const layout::OwnerRunner& place) {
   if (plan_kind(a.rows(), a.cols()) == PlanKind::WholeJob)
-    return layout::PackedMatrix::pack(a, layout::Layout::ColumnMajor, opt.b,
-                                      opt.resolved_grid());
-  return layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
-                                    place);
+    return layout::PackedMatrixT<T>::pack(a, layout::Layout::ColumnMajor,
+                                          opt.b, opt.resolved_grid());
+  return layout::PackedMatrixT<T>::pack(a, opt.layout, opt.b,
+                                        opt.resolved_grid(), place);
 }
 
+template <class T>
 Factorization factor_packed(const layout::Matrix& a, const Options& opt,
                             sched::Session& session,
-                            layout::PackedMatrix& packed, bool lapack_form) {
-  packed = pack_for_plan(a, opt, owner_runner_from(opt, session.team()));
+                            layout::PackedMatrixT<T>& packed,
+                            bool lapack_form) {
+  packed = pack_for_plan<T>(a, opt, owner_runner_from(opt, session.team()));
   return run_job(packed, opt, session, lapack_form);
 }
+
+template layout::PackedMatrixT<double> pack_for_plan<double>(
+    const layout::Matrix&, const Options&, const layout::OwnerRunner&);
+template layout::PackedMatrixT<float> pack_for_plan<float>(
+    const layout::Matrix&, const Options&, const layout::OwnerRunner&);
+template Factorization factor_packed<double>(const layout::Matrix&,
+                                             const Options&, sched::Session&,
+                                             layout::PackedMatrixT<double>&,
+                                             bool);
+template Factorization factor_packed<float>(const layout::Matrix&,
+                                            const Options&, sched::Session&,
+                                            layout::PackedMatrixT<float>&,
+                                            bool);
 
 Factorization getrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session) {
   if (const char* why = input_defect(&a, nullptr, opt))
     throw std::invalid_argument(std::string("getrf: ") + why);
-  layout::PackedMatrix p;
-  Factorization f = factor_packed(a, opt, session, p, /*lapack_form=*/true);
-  p.unpack(a);
-  return f;
+  return opt.precision == Precision::Float32
+             ? factor_in_place<float>(a, opt, session)
+             : factor_in_place<double>(a, opt, session);
 }
 
 Factorization getrf(layout::Matrix& a, const Options& opt) {

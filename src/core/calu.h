@@ -30,10 +30,11 @@
 namespace calu::core {
 
 /// Element precision a factorization runs at.  Float32 runs the SAME task
-/// graph and engine on a float copy of the packed matrix (the engines are
-/// precision-agnostic — they only move task ids); it exists for the
-/// mixed-precision solver gesv_mixed, which refines the float factors back
-/// to double accuracy.
+/// graph and engine on float storage (the engines are precision-agnostic
+/// — they only move task ids); it exists for the mixed-precision solver
+/// gesv_mixed, which refines the float factors back to double accuracy.
+/// The Matrix-level drivers pack a Float32 job straight into a
+/// layout::PackedMatrixT<float>, where its factors stay.
 enum class Precision : std::uint8_t { Double, Float32 };
 
 const char* precision_name(Precision p);
@@ -103,6 +104,7 @@ struct Options {
   int max_refine = 2;
   /// Factorization element type.  Per-job Options carry it through the
   /// batch layer, so a fused engine run can mix double and float32 jobs.
+  /// A GetrfJob on float storage runs in float whatever this says.
   Precision precision = Precision::Double;
   /// Urgent-queue eligibility under the priority-lookahead engine; the
   /// async sched::Service maps its two request classes onto this.
@@ -163,11 +165,14 @@ class GetrfJob {
   /// Builds the plan and runtime for `a`, which must have been packed
   /// with opt.b and opt.resolved_grid() and must outlive the job.  The
   /// plan is the tiled CALU DAG, or the one-task whole-job plan when
-  /// plan_kind(m, n) says so (Stats::plan says which).  With
-  /// opt.precision == Float32 the tasks run on an internally converted
-  /// same-geometry float copy, and either finish writes the factors
-  /// back into `a` (float -> double conversion is exact, so `a` then
-  /// holds the float-accuracy factors bit-for-bit).
+  /// plan_kind(m, n) says so (Stats::plan says which).  The tasks factor
+  /// `a` in place.
+  GetrfJob(layout::PackedMatrixT<float>& a, const Options& opt);
+  /// The same on double storage.  With opt.precision == Float32 this is
+  /// an adapter for callers that packed in double: the tasks run on an
+  /// owned same-geometry float copy of `a`, and either finish writes the
+  /// factors back into `a` (float -> double conversion is exact, so `a`
+  /// then holds the float factors bit for bit).
   GetrfJob(layout::PackedMatrix& a, const Options& opt);
   ~GetrfJob();
   GetrfJob(GetrfJob&&) noexcept;
@@ -191,8 +196,8 @@ class GetrfJob {
   /// (Algorithm 1, line 43) are not applied, so the L tiles of panel k
   /// carry the swaps of panels <= k only.  The solve drivers substitute
   /// on this form directly (src/core/solve.h).  A whole-job plan's
-  /// factors are LAPACK-form already (Stats::plan says which).  A Float32
-  /// job writes its factors back into the caller's double matrix.  Call
+  /// factors are LAPACK-form already (Stats::plan says which).  The
+  /// double-storage Float32 adapter writes its factors back here.  Call
   /// exactly once, after every task of graph() executed, instead of
   /// finish(team).  Engine counters and wall-clock attribution belong to
   /// the caller that ran the graph.
@@ -211,7 +216,8 @@ class GetrfJob {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Factor a packed matrix in place on a caller-provided session: the
+/// Factor a packed matrix in place on a caller-provided session (with
+/// opt.precision == Float32 through GetrfJob's double-storage adapter): the
 /// session's pinned team executes the DAG under the engine named by
 /// opt.resolved_engine() (cached in the session), and the run's counters
 /// fold into session.totals().  The PackedMatrix must have been packed
@@ -225,10 +231,10 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt,
 /// and torn down).
 Factorization getrf(layout::PackedMatrix& a, const Options& opt);
 
-/// Convenience: packs `a` (pack_for_plan), factors, and unpacks the
-/// combined L and U factors back into `a` (column-major, LAPACK getrf
-/// layout).  A request input_defect rejects throws
-/// std::invalid_argument.
+/// Convenience: packs `a` (pack_for_plan; into float storage when
+/// opt.precision == Float32), factors, and unpacks the combined L and U
+/// factors back into `a` (column-major, LAPACK getrf layout).  A request
+/// input_defect rejects throws std::invalid_argument.
 Factorization getrf(layout::Matrix& a, const Options& opt);
 
 /// Session variant of the column-major convenience driver.
@@ -247,22 +253,29 @@ Factorization getrf(layout::Matrix& a, const Options& opt,
 const char* input_defect(const layout::Matrix* a, const layout::Matrix* rhs,
                          const Options& opt);
 
-/// Packs `a` (with opt.b and opt.resolved_grid()) for the plan its
-/// shape gets: a whole-job shape into one column-major buffer, which its
-/// one task factors in place, whatever opt.layout says; a tiled shape
-/// into opt.layout, through `place`.
-layout::PackedMatrix pack_for_plan(const layout::Matrix& a, const Options& opt,
-                                   const layout::OwnerRunner& place = {});
+/// Packs `a` (with opt.b and opt.resolved_grid()) into storage of
+/// element type T for the plan its shape gets: a whole-job shape into
+/// one column-major buffer, which its one task factors in place,
+/// whatever opt.layout says; a tiled shape into opt.layout, through
+/// `place`.  T = float rounds each element once while packing.
+template <class T = double>
+layout::PackedMatrixT<T> pack_for_plan(const layout::Matrix& a,
+                                       const Options& opt,
+                                       const layout::OwnerRunner& place = {});
 
 /// The Matrix-level factor step getrf(Matrix&) and the solve drivers
-/// share: packs `a` into `packed` (pack_for_plan; a tiled shape through the owner-ordered
-/// parallel pack) and factors it on `session`.  `lapack_form` applies the
-/// deferred left swaps, as getrf returns them; without them the factors
-/// stay in the deferred form the solve substitutes on
-/// (GetrfJob::finish_deferred).  `a` is only read.
+/// share: packs `a` into `packed` (pack_for_plan; a tiled shape through
+/// the owner-ordered parallel pack) and factors it on `session`, in the
+/// precision of `packed`'s storage.  `lapack_form` applies the deferred
+/// left swaps, as getrf returns them; without them the factors stay in
+/// the deferred form the solve substitutes on
+/// (GetrfJob::finish_deferred).  `a` is only read.  Both templates are
+/// instantiated for double and float (calu.cpp).
+template <class T>
 Factorization factor_packed(const layout::Matrix& a, const Options& opt,
                             sched::Session& session,
-                            layout::PackedMatrix& packed, bool lapack_form);
+                            layout::PackedMatrixT<T>& packed,
+                            bool lapack_form);
 
 /// `opt` unchanged.  No library code calls it; it stays for the
 /// benchmark's traced replay (benchmark/calu_bench.cpp).

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "src/blas/blas.h"
 #include "src/model/lu_cost.h"
@@ -215,6 +217,13 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt) {
 
 Factorization potrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session) {
+  // Checked before packing: a tile size b < 1 would divide by zero in
+  // the tiling.
+  const char* why = input_defect(&a, nullptr, opt);
+  if (why == nullptr && a.rows() != a.cols())
+    why = "a Cholesky factorization needs a square matrix";
+  if (why != nullptr)
+    throw std::invalid_argument(std::string("potrf: ") + why);
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
                                  owner_runner_from(opt, session.team()));
@@ -230,7 +239,9 @@ Factorization potrf(layout::Matrix& a, const Options& opt) {
 
 void potrs(const layout::Matrix& l, layout::Matrix& b) {
   const int n = l.rows();
-  assert(l.cols() == n && b.rows() == n);
+  if (l.cols() != n || b.rows() != n)
+    throw std::invalid_argument(
+        "potrs: factor not square, or right-hand side of another row count");
   blas::trsm(blas::Side::Left, blas::UpLo::Lower, blas::Trans::No,
              blas::Diag::NonUnit, n, b.cols(), 1.0, l.data(), l.ld(),
              b.data(), b.ld());

@@ -58,7 +58,9 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt,
 /// One-shot: an ephemeral session is created for the call.
 Factorization potrf(layout::PackedMatrix& a, const Options& opt);
 
-/// Convenience on a column-major matrix: packs, factors, unpacks.
+/// Convenience on a column-major matrix: packs, factors, unpacks.  A
+/// request input_defect rejects, or a non-square `a`, throws
+/// std::invalid_argument before `a` is packed.
 Factorization potrf(layout::Matrix& a, const Options& opt);
 
 /// Session variant of the column-major convenience driver.
@@ -66,7 +68,8 @@ Factorization potrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session);
 
 /// Solve A x = b in place given the Cholesky factor L (column-major,
-/// lower): b := L^{-T} L^{-1} b.
+/// lower): b := L^{-T} L^{-1} b.  A non-square `l`, or a `b` of another
+/// row count, throws std::invalid_argument, as getrs does.
 void potrs(const layout::Matrix& l, layout::Matrix& b);
 
 /// ||A - L*L^T||_inf / (||A||_inf * n * eps) — Cholesky backward error.

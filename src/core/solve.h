@@ -14,7 +14,10 @@
 // PlanKind::WholeJob) and any column-major [L\U] are LAPACK-form, so
 // there it applies every swap first.  The tile updates, the residual and
 // the refinement each stream their operand once through the dispatched
-// panel_fma kernel.
+// panel_fma kernel.  The substitution runs in the factors' precision:
+// gesv_mixed's float factors stay in float storage and are solved, as
+// LAPACK's dsgesv does, on a float copy of the right-hand side or
+// residual, while the residual and the update of x stay in double.
 #pragma once
 
 #include "src/util/span.h"
@@ -104,14 +107,17 @@ SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
 /// O(n^2) per step).
 ///
 /// Robustness: when the float factors come back non-finite or with
-/// pathological pivot growth, or refinement cannot reach double-quality
-/// backward error within opt.max_refine steps, the call transparently
-/// re-factors in full double (res.used_fallback = true), so the result is
-/// never worse than gesv.  opt.max_refine = 0 accepts the float-accuracy
-/// solution as-is (no refinement, fallback only on a non-finite result).
-/// opt.precision is ignored (the factorization precision is the point of
-/// the call).  Inputs are read and checked as gesv's are, and the
-/// refinement runs on the float factors' deferred form in double storage.
+/// pathological pivot growth (max|L\U| > 1e5 max|A|), or refinement
+/// cannot reach double-quality backward error within opt.max_refine
+/// steps, the call transparently re-factors in full double
+/// (res.used_fallback = true), so the result is never worse than gesv.
+/// opt.max_refine = 0 accepts the float-accuracy solution as-is: no
+/// refinement, and a fallback only on non-finite or pathologically grown
+/// factors or a non-finite result.  opt.precision is ignored (the
+/// factorization precision is the point of the call).  Inputs are read
+/// and checked as gesv's are.  A is packed straight into float storage;
+/// the factors stay there, in the engine's deferred form, and each
+/// substitution runs in float.
 SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
                        const Options& opt);
 
@@ -121,21 +127,25 @@ SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
                        const Options& opt, sched::Session& session);
 
 /// The gesv_mixed epilogue, from already-computed float-accuracy
-/// LAPACK-form factors in double storage: the refinement and acceptance
-/// of refine_float, then fallback_double when they reject the factors.
-/// res.factorization must already hold the float-run pivots.
+/// LAPACK-form factors in double storage (a caller that packed in double
+/// and ran GetrfJob's Float32 adapter): the checks, refinement and
+/// acceptance of refine_float, substituting in double, then
+/// fallback_double when they reject the factors.  res.factorization must
+/// already hold the float-run pivots.
 void refine_mixed(const layout::Matrix& a, const layout::Matrix& b,
                   const layout::Matrix& lu, const Options& opt,
                   sched::Session& session, SolveResult& res);
 
-/// refine_mixed's first half on the packed float-accuracy factors a
-/// Float32 getrf job leaves in `lu` (read as solve_factored's packed
-/// overload reads them): pathological-factor check, refinement with
-/// stall detection, and double-accuracy acceptance.  Returns false when
-/// the float factors are rejected.  Touches no session, so the fused
-/// batch runs it on team threads; gesv_mixed runs it too.
+/// refine_mixed's first half on the packed float factors a Float32
+/// getrf job leaves in `lu` (read as solve_factored's packed overload
+/// reads them, substituting in float): the first solve, the
+/// pathological-factor check on max|A| from that solve's residual pass,
+/// refinement with stall detection, and double-accuracy acceptance.
+/// Returns false when the float factors are rejected.  Touches no
+/// session, so the fused batch runs it on team threads; gesv_mixed runs
+/// it too.
 bool refine_float(const layout::Matrix& a, const layout::Matrix& b,
-                  const layout::PackedMatrix& lu, const Options& opt,
+                  const layout::PackedMatrixT<float>& lu, const Options& opt,
                   SolveResult& res);
 
 /// refine_mixed's second half: the full-double re-solve on `session`.

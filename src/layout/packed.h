@@ -17,12 +17,13 @@
 //
 // The container is templated over the element type: the engine factors
 // double matrices, while the mixed-precision path (core::gesv_mixed)
-// factors a float32 copy with IDENTICAL geometry — same tiling, same
-// per-thread buffer shapes, same tile adjacency — so every scheduling
-// decision and tile view carries over unchanged.  Cross-precision
-// conversion is buffer-wise (convert_from), never a repack.  `Matrix`
-// itself stays double-only; a float packed matrix only ever exists as a
-// converted copy of a double one.
+// packs A straight into float storage with IDENTICAL geometry — same
+// tiling, same per-thread buffer shapes, same tile adjacency — so every
+// scheduling decision and tile view carries over unchanged.  `Matrix`
+// itself stays double-only: pack rounds each element to float once, and
+// unpack widens it back exactly.  Buffer-wise conversion between
+// precisions (convert_from / convert_into) serves only core::GetrfJob's
+// adapter for callers that packed a Float32 job in double.
 #pragma once
 
 #include <cstddef>

@@ -510,6 +510,63 @@ TEST(CaluPlanKind, WholeJobMatchesRecursiveGepp) {
   }
 }
 
+TEST(CaluPlanKind, Float32RoutesAgreeBitForBit) {
+  // A Float32 getrf(Matrix&) packs into float storage and factors there;
+  // getrf(PackedMatrix&) on a caller's double packing goes through
+  // GetrfJob's adapter (a float copy, written back by finish).  Both
+  // routes must give the same factors and pivots, and on whole-job
+  // shapes those of a direct blas::getrf_recursive on a float copy.
+  using core::PlanKind;
+  const struct {
+    int m, n, b;
+    Layout layout;
+    PlanKind plan;
+  } cases[] = {{64, 64, 16, Layout::BlockCyclic, PlanKind::WholeJob},
+               {96, 40, 16, Layout::BlockCyclic, PlanKind::WholeJob},
+               {288, 288, 48, Layout::BlockCyclic, PlanKind::Tiled},
+               {288, 288, 48, Layout::TwoLevelBlock, PlanKind::Tiled},
+               {288, 288, 48, Layout::ColumnMajor, PlanKind::Tiled}};
+  sched::Session session(sched::SessionOptions{4, false});
+  for (const auto& c : cases) {
+    SCOPED_TRACE("m=" + std::to_string(c.m) + " n=" + std::to_string(c.n) +
+                 " " + layout::layout_name(c.layout));
+    Options o;
+    o.b = c.b;
+    o.threads = 4;
+    o.pin_threads = false;
+    o.layout = c.layout;
+    o.precision = core::Precision::Float32;
+    const Matrix a0 = Matrix::random(c.m, c.n, 72);
+    Matrix stored = a0;
+    const Factorization fs = core::getrf(stored, o, session);
+    EXPECT_EQ(fs.stats.precision, core::Precision::Float32);
+    EXPECT_EQ(fs.stats.plan, c.plan);
+
+    layout::PackedMatrix p = core::pack_for_plan(a0, o);
+    const Factorization fa = core::getrf(p, o, session);
+    Matrix adapted = a0;
+    p.unpack(adapted);
+    EXPECT_EQ(fa.stats.precision, core::Precision::Float32);
+    EXPECT_EQ(fs.ipiv, fa.ipiv);
+    EXPECT_EQ(test::max_abs_diff(stored, adapted), 0.0);
+
+    if (c.plan == PlanKind::Tiled) continue;
+    std::vector<float> ref(static_cast<std::size_t>(c.m) * c.n);
+    for (int j = 0; j < c.n; ++j)
+      for (int i = 0; i < c.m; ++i)
+        ref[i + static_cast<std::size_t>(j) * c.m] =
+            static_cast<float>(a0(i, j));
+    std::vector<int> ipiv(std::min(c.m, c.n));
+    blas::getrf_recursive(c.m, c.n, ref.data(), c.m, ipiv.data());
+    Matrix widened(c.m, c.n);
+    for (int j = 0; j < c.n; ++j)
+      for (int i = 0; i < c.m; ++i)
+        widened(i, j) = ref[i + static_cast<std::size_t>(j) * c.m];
+    EXPECT_EQ(fs.ipiv, ipiv);
+    EXPECT_EQ(test::max_abs_diff(stored, widened), 0.0);
+  }
+}
+
 // ---------------------------------------------------------- tracing ---
 
 TEST(CaluTrace, RecorderCapturesAllTaskKinds) {

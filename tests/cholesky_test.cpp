@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/blas/blas.h"
 #include "src/core/cholesky.h"
 #include "src/layout/matrix.h"
+#include "src/sched/session.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -215,6 +219,66 @@ TEST(Cholesky, TaskCountIsClosedForm) {
     expected += r * (r - 1) / 2;
   }
   EXPECT_EQ(f.stats.tasks, expected);
+}
+
+// ------------------------------------------------------- input checks ---
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * a.rows() * a.cols()) == 0;
+}
+
+/// Both Matrix-level potrf overloads must throw std::invalid_argument on
+/// (a, opt) before any work and leave `a` as it was.
+void expect_potrf_rejects(const Matrix& a0, const Options& opt) {
+  Matrix a = a0;
+  EXPECT_THROW(core::potrf(a, opt), std::invalid_argument);
+  EXPECT_TRUE(same_bits(a, a0));
+  sched::Session session(sched::SessionOptions{2, false});
+  EXPECT_THROW(core::potrf(a, opt, session), std::invalid_argument);
+  EXPECT_TRUE(same_bits(a, a0));
+}
+
+TEST(Cholesky, TileSizeBelowOneThrows) {
+  // b < 1 used to reach the tiling's division by the tile size.
+  Options o;
+  o.threads = 2;
+  o.pin_threads = false;
+  for (int b : {0, -4}) {
+    SCOPED_TRACE("b=" + std::to_string(b));
+    o.b = b;
+    expect_potrf_rejects(core::spd_matrix(64, 413), o);
+  }
+}
+
+TEST(Cholesky, NonSquareMatrixThrows) {
+  Options o;
+  o.b = 16;
+  o.threads = 2;
+  o.pin_threads = false;
+  expect_potrf_rejects(Matrix::random(48, 40, 414), o);
+}
+
+TEST(Cholesky, PotrsRejectsNonSquareFactor) {
+  const Matrix l = Matrix::random(48, 40, 415);
+  const Matrix b0 = Matrix::random(48, 2, 416);
+  Matrix b = b0;
+  EXPECT_THROW(core::potrs(l, b), std::invalid_argument);
+  EXPECT_TRUE(same_bits(b, b0));
+}
+
+TEST(Cholesky, PotrsRejectsRhsOfAnotherRowCount) {
+  Matrix l = core::spd_matrix(48, 417);
+  Options o;
+  o.b = 16;
+  o.threads = 2;
+  o.pin_threads = false;
+  core::potrf(l, o);
+  const Matrix b0 = Matrix::random(40, 2, 418);
+  Matrix b = b0;
+  EXPECT_THROW(core::potrs(l, b), std::invalid_argument);
+  EXPECT_TRUE(same_bits(b, b0));
 }
 
 }  // namespace

@@ -372,5 +372,58 @@ TEST(Gesv, MalformedInputsThrowAndLeaveInputsUntouched) {
   EXPECT_EQ(core::getrf(a, small_opts()).ipiv.size(), 40u);
 }
 
+TEST(GesvMixed, RhsOutsideFloatRangeRefinesLikeAScaledOne) {
+  // The float substitution scales each column by a power of two, which
+  // is exact: a right-hand side 2^±140 times another (outside float
+  // range either way) must take the same steps to the same residual,
+  // with x scaled by the same power, bit for bit, and no fallback.
+  const int n = 288;
+  const Matrix a = Matrix::random(n, n, 325);
+  const Matrix b = Matrix::random(n, 2, 326);
+  Options o = small_opts(8);
+  o.b = 48;
+  const core::SolveResult ref = core::gesv_mixed(a, b, o);
+  EXPECT_FALSE(ref.used_fallback);
+  for (int e : {-140, 140}) {
+    SCOPED_TRACE("2^" + std::to_string(e));
+    Matrix bs = b, xs = ref.x;
+    for (int j = 0; j < b.cols(); ++j)
+      for (int i = 0; i < n; ++i) {
+        bs(i, j) = std::ldexp(b(i, j), e);
+        xs(i, j) = std::ldexp(ref.x(i, j), e);
+      }
+    const core::SolveResult res = core::gesv_mixed(a, bs, o);
+    EXPECT_FALSE(res.used_fallback);
+    EXPECT_EQ(res.refine_steps, ref.refine_steps);
+    EXPECT_EQ(res.residual, ref.residual);
+    EXPECT_TRUE(same_bits(res.x, xs));
+  }
+}
+
+TEST(GesvMixed, PivotGrowthFallsBack) {
+  // Wilkinson's growth matrix: unit diagonal, -1 below it, 1 in the last
+  // column.  Partial pivoting never swaps, and the last column doubles at
+  // every step, so max|U| = 2^(n-1) ~ 5.5e11 at n = 40 while max|A| = 1.
+  // The float factors stay finite, so the growth check alone must reject
+  // them, at max_refine 0 as at 2, and the result is gesv's bit for bit.
+  const int n = 40;
+  Matrix a(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i)
+      a(i, j) = i == j || j == n - 1 ? 1.0 : i > j ? -1.0 : 0.0;
+  const Matrix b = Matrix::random(n, 1, 324);
+  for (int max_refine : {0, 2}) {
+    SCOPED_TRACE("max_refine=" + std::to_string(max_refine));
+    const core::SolveResult res =
+        core::gesv_mixed(a, b, small_opts(max_refine));
+    EXPECT_TRUE(res.used_fallback);
+    EXPECT_EQ(res.factorization.stats.precision, core::Precision::Double);
+    const core::SolveResult ref = core::gesv(a, b, small_opts(max_refine));
+    EXPECT_TRUE(same_bits(res.x, ref.x));
+    EXPECT_EQ(res.residual, ref.residual);
+    EXPECT_EQ(res.refine_steps, ref.refine_steps);
+  }
+}
+
 }  // namespace
 }  // namespace calu
